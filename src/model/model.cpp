@@ -4,8 +4,10 @@
 #include <array>
 #include <chrono>
 #include <map>
+#include <ranges>
 #include <sstream>
 
+#include "common/check.hpp"
 #include "prof/prof.hpp"
 #include "sim/isa.hpp"
 
@@ -36,6 +38,7 @@ struct Event {
   std::uint64_t data_dep = 0;
   std::uint64_t ctrl_dep = 0;
   int read_ord = -1;  ///< reads: ordinal among this thread's reads
+  int aix = -1;       ///< dense address index (set after Phase B; fences -1)
 };
 
 constexpr bool is_full_fence(Op op) {
@@ -48,9 +51,93 @@ constexpr bool is_ld_fence(Op op) {
   return op == Op::kDmbLd || op == Op::kDsbLd;
 }
 
+/// Dense incremental transitive closure over event ids: one bitset row per
+/// event holding its reachable set. This is the memoized relation frontier —
+/// instead of rebuilding a graph and running a DFS per candidate, each DFS
+/// level copies its parent's closure and extends it edge-by-edge.
+class Reach {
+ public:
+  void init(std::size_t n) {
+    n_ = n;
+    words_ = (n + 63) / 64;
+    bits_.assign(n_ * words_, 0);
+  }
+
+  std::size_t words() const { return words_; }
+  const std::uint64_t* row(int u) const {
+    return &bits_[static_cast<std::size_t>(u) * words_];
+  }
+
+  bool reach(int u, int v) const {
+    return (bits_[static_cast<std::size_t>(u) * words_ + (v >> 6)] >>
+            (v & 63)) &
+           1;
+  }
+
+  /// Add edge u->v and re-close. Returns false iff the edge closes a cycle
+  /// (including u == v); the closure must then be discarded. Acyclicity is
+  /// monotone-decreasing under edge addition, so a false here condemns every
+  /// extension of the current choice prefix — that is the pruning theorem
+  /// the whole engine rests on (DESIGN.md §12).
+  bool add(int u, int v) {
+    if (u == v || reach(v, u)) return false;
+    if (reach(u, v)) return true;  // already implied, closure unchanged
+    const std::uint64_t* src = row(v);
+    for (std::size_t w = 0; w < n_; ++w) {
+      if (static_cast<int>(w) != u && !reach(static_cast<int>(w), u))
+        continue;
+      std::uint64_t* dst = &bits_[w * words_];
+      for (std::size_t k = 0; k < words_; ++k) dst[k] |= src[k];
+      dst[v >> 6] |= 1ULL << (v & 63);
+    }
+    return true;
+  }
+
+  /// Seeding without re-closing, for relations known to be closed and
+  /// acyclic: row `u` gains `src` (a row of another closure, `src_words`
+  /// wide) with every bit moved up by `shift` ids.
+  void or_shifted(int u, const std::uint64_t* src, std::size_t src_words,
+                  std::size_t shift) {
+    std::uint64_t* dst = &bits_[static_cast<std::size_t>(u) * words_];
+    const std::size_t s = shift & 63;
+    for (std::size_t k = 0; k < src_words; ++k) {
+      if (src[k] == 0) continue;
+      const std::size_t at = k + (shift >> 6);
+      dst[at] |= src[k] << s;
+      if (s != 0 && at + 1 < words_) dst[at + 1] |= src[k] >> (64 - s);
+    }
+  }
+
+  /// Seeding: `u` reaches `v` and everything `v` already reaches. Exact
+  /// when nothing reaches `u` (the caller's init writes).
+  void absorb(int u, int v) {
+    or_shifted(u, row(v), words_, 0);
+    bits_[static_cast<std::size_t>(u) * words_ + (v >> 6)] |= 1ULL << (v & 63);
+  }
+
+ private:
+  std::size_t n_ = 0, words_ = 0;
+  std::vector<std::uint64_t> bits_;
+};
+
 struct ThreadExec {
   std::vector<Event> events;
   std::array<std::uint64_t, sim::kNumRegs> regs{};
+
+  // Per-execution summary (summarize(), right after Phase B): everything
+  // Phase C needs that depends on this one execution alone, computed once
+  // instead of once per execution combo.
+  std::vector<int> read_po;  ///< read ordinal -> index into `events`
+  /// dob/bob edges that do not depend on the rf/co choice, as `events`
+  /// indices, and their closure; `ic_local` closes the po-loc chains.
+  std::vector<std::pair<int, int>> static_edges;
+  Reach ic_local, ec_local;
+  /// Bitset over (address, value) pair ids: what this execution's writes
+  /// can feed to other threads' reads.
+  std::vector<std::uint64_t> provides;
+  /// Pair ids of reads neither the init value nor a same-thread write the
+  /// read does not already reach can feed (-1: no execution writes it).
+  std::vector<int> needs;
 };
 
 // ---------------------------------------------------------------------------
@@ -336,139 +423,258 @@ class ThreadInterp {
 // Phase C: combine thread executions, enumerate rf/co, check the axioms
 // ---------------------------------------------------------------------------
 
-/// The flattened event universe of one per-thread execution combination,
-/// shared by both Phase C engines. Events keep their Phase-B thread/po
-/// identity; the initial write of every touched address is prepended as a
-/// virtual event on thread -1 (external to every real thread, co-first at
-/// its address).
-struct ComboEvents {
-  std::vector<Event> ev;
-  std::map<Addr, int> init_id;
-  std::map<Addr, std::vector<int>> writes_by_addr;
-  std::map<int, std::vector<int>> thread_events;
-  std::vector<std::vector<int>> rdmap;
-  std::vector<int> reads;
+/// Calls fn(i) for the `events` index i of every read in the ordinal
+/// bitmask `mask` (a dependency source set).
+template <typename Fn>
+void for_dep_reads(const std::vector<int>& read_po, std::uint64_t mask,
+                   Fn&& fn) {
+  while (mask != 0) {
+    const int ord = __builtin_ctzll(mask);
+    mask &= mask - 1;
+    if (static_cast<std::size_t>(ord) < read_po.size() && read_po[ord] >= 0)
+      fn(read_po[ord]);
+  }
+}
 
-  ComboEvents(const std::vector<const ThreadExec*>& combo,
-              const std::set<Addr>& addrs,
-              const std::map<Addr, std::uint64_t>& init) {
-    for (Addr a : addrs) {
-      Event e;
-      e.kind = Event::kWrite;
-      e.thread = -1;
-      e.addr = a;
-      if (auto it = init.find(a); it != init.end()) e.value = it->second;
-      init_id[a] = static_cast<int>(ev.size());
-      ev.push_back(e);
-    }
-    rdmap.resize(combo.size());
-    for (std::size_t t = 0; t < combo.size(); ++t) {
-      for (const Event& src : combo[t]->events) {
-        Event e = src;
-        e.thread = static_cast<int>(t);
-        const int id = static_cast<int>(ev.size());
-        if (e.kind == Event::kRead) {
-          if (rdmap[t].size() <= static_cast<std::size_t>(e.read_ord))
-            rdmap[t].resize(e.read_ord + 1, -1);
-          rdmap[t][e.read_ord] = id;
-          reads.push_back(id);
-        } else if (e.kind == Event::kWrite) {
-          writes_by_addr[e.addr].push_back(id);
-        }
-        thread_events[t].push_back(id);
-        ev.push_back(e);
-      }
+/// dob/bob edges of one thread execution that do not depend on the rf/co
+/// choice, as indices into `tev`. Every edge runs po-forward. Shared by
+/// both engines, so the naive oracle and the POR engine see the same
+/// static relation.
+std::vector<std::pair<int, int>> thread_static_edges(
+    const std::vector<Event>& tev, const std::vector<int>& read_po) {
+  std::vector<std::pair<int, int>> out;
+  auto add_edge = [&out](int from, int to) {
+    if (from != to) out.emplace_back(from, to);
+  };
+  const int n = static_cast<int>(tev.size());
+
+  // Direct dependency clauses: addr, data, ctrl;[W].
+  for (int id = 0; id < n; ++id) {
+    const Event& e = tev[id];
+    if (e.kind == Event::kFence) continue;
+    for_dep_reads(read_po, e.addr_dep, [&](int r) { add_edge(r, id); });
+    if (e.kind == Event::kWrite) {
+      for_dep_reads(read_po, e.data_dep, [&](int r) { add_edge(r, id); });
+      for_dep_reads(read_po, e.ctrl_dep, [&](int r) { add_edge(r, id); });
     }
   }
 
-  template <typename Fn>
-  void for_deps(int thread, std::uint64_t mask, Fn&& fn) const {
-    while (mask != 0) {
-      const int ord = __builtin_ctzll(mask);
-      mask &= mask - 1;
-      if (static_cast<std::size_t>(ord) < rdmap[thread].size() &&
-          rdmap[thread][ord] >= 0)
-        fn(rdmap[thread][ord]);
+  // Prefix-accumulating po scan for the remaining clauses.
+  std::uint64_t addr_prefix = 0;  // addr;po;[W] and (addr;po);[ISB]
+  std::uint64_t isb_srcs = 0;     // (ctrl|(addr;po));[ISB];po;[R]
+  std::vector<int> all_before, rel_before;
+  std::vector<int> any_srcs;  // ordered before every later access
+  std::vector<int> st_srcs;   // ordered before every later write
+  for (int id = 0; id < n; ++id) {
+    const Event& e = tev[id];
+    if (e.kind == Event::kFence) {
+      if (is_full_fence(e.op)) {
+        any_srcs.insert(any_srcs.end(), all_before.begin(), all_before.end());
+      } else if (is_ld_fence(e.op)) {
+        for (int b : all_before)
+          if (tev[b].kind == Event::kRead) any_srcs.push_back(b);
+      } else if (is_st_fence(e.op)) {
+        for (int b : all_before)
+          if (tev[b].kind == Event::kWrite) st_srcs.push_back(b);
+      } else {  // ISB
+        isb_srcs |= e.ctrl_dep | addr_prefix;
+      }
+      continue;
     }
+    // Incoming barrier-ordered edges.
+    for (int s : any_srcs) add_edge(s, id);
+    if (e.kind == Event::kWrite)
+      for (int s : st_srcs) add_edge(s, id);
+    if (e.kind == Event::kRead)
+      for_dep_reads(read_po, isb_srcs, [&](int r) { add_edge(r, id); });
+    // addr;po;[W]: reads feeding any earlier access's address order
+    // before every later write.
+    if (e.kind == Event::kWrite)
+      for_dep_reads(read_po, addr_prefix, [&](int r) { add_edge(r, id); });
+    // po;[L] and [L];po;[A].
+    if (e.kind == Event::kWrite && e.rel) {
+      for (int b : all_before) add_edge(b, id);
+      rel_before.push_back(id);
+    }
+    if (e.kind == Event::kRead && e.acq)
+      for (int l : rel_before) add_edge(l, id);
+    // [A|Q];po.
+    if (e.kind == Event::kRead && (e.acq || e.acq_pc)) any_srcs.push_back(id);
+    addr_prefix |= e.addr_dep;
+    all_before.push_back(id);
+  }
+  return out;
+}
+
+/// Fill every execution's per-execution summary (DESIGN.md §12,
+/// "Per-execution summaries"). `addrs` is the sorted address universe;
+/// `init_vals` holds the initial value of each address index.
+void summarize(std::vector<std::vector<ThreadExec>>& execs,
+               const std::vector<Addr>& addrs,
+               const std::vector<std::uint64_t>& init_vals) {
+  // Dense ids for every (address index, value) pair some write produces.
+  std::map<std::pair<int, std::uint64_t>, int> pair_id;
+  for (std::size_t t = 0; t < execs.size(); ++t)
+    for (ThreadExec& x : execs[t]) {
+      for (Event& e : x.events) {
+        e.thread = static_cast<int>(t);
+        if (e.kind == Event::kFence) continue;
+        e.aix = static_cast<int>(
+            std::lower_bound(addrs.begin(), addrs.end(), e.addr) -
+            addrs.begin());
+        if (e.kind == Event::kWrite)
+          pair_id.emplace(std::make_pair(e.aix, e.value),
+                          static_cast<int>(pair_id.size()));
+      }
+    }
+  const std::size_t pair_words = (pair_id.size() + 63) / 64;
+
+  for (auto& texecs : execs)
+    for (ThreadExec& x : texecs) {
+      const int n = static_cast<int>(x.events.size());
+      for (int i = 0; i < n; ++i) {
+        const Event& e = x.events[i];
+        if (e.kind != Event::kRead) continue;
+        if (x.read_po.size() <= static_cast<std::size_t>(e.read_ord))
+          x.read_po.resize(e.read_ord + 1, -1);
+        x.read_po[e.read_ord] = i;
+      }
+      // Every static and po-loc edge runs po-forward, so neither local
+      // closure can cycle — and neither can a combo's base closure built
+      // from them, which the search therefore never re-checks.
+      x.static_edges = thread_static_edges(x.events, x.read_po);
+      x.ic_local.init(x.events.size());
+      x.ec_local.init(x.events.size());
+      bool acyclic = true;
+      for (const auto& [from, to] : x.static_edges)
+        acyclic = x.ec_local.add(from, to) && acyclic;
+      std::vector<int> last(addrs.size(), -1);  // po-loc chains
+      for (int i = 0; i < n; ++i) {
+        const Event& e = x.events[i];
+        if (e.kind == Event::kFence) continue;
+        if (last[e.aix] >= 0)
+          acyclic = x.ic_local.add(last[e.aix], i) && acyclic;
+        last[e.aix] = i;
+      }
+      ARMBAR_CHECK(acyclic);
+
+      x.provides.assign(pair_words, 0);
+      for (const Event& e : x.events)
+        if (e.kind == Event::kWrite) {
+          const int k = pair_id.at({e.aix, e.value});
+          x.provides[k >> 6] |= 1ULL << (k & 63);
+        }
+      for (int i = 0; i < n; ++i) {
+        const Event& r = x.events[i];
+        if (r.kind != Event::kRead || init_vals[r.aix] == r.value) continue;
+        bool local = false;
+        for (int w = 0; w < n && !local; ++w)
+          local = x.events[w].kind == Event::kWrite &&
+                  x.events[w].aix == r.aix && x.events[w].value == r.value &&
+                  !x.ic_local.reach(i, w);
+        if (local) continue;
+        const auto it = pair_id.find({r.aix, r.value});
+        x.needs.push_back(it == pair_id.end() ? -1 : it->second);
+      }
+      std::sort(x.needs.begin(), x.needs.end());
+      x.needs.erase(std::unique(x.needs.begin(), x.needs.end()),
+                    x.needs.end());
+    }
+}
+
+/// True when `combo` cannot yield a single POR search node: some read's
+/// need is provided by no other thread's picked execution. Exact — see
+/// DESIGN.md §12.
+bool starved(const std::vector<const ThreadExec*>& combo) {
+  for (std::size_t t = 0; t < combo.size(); ++t) {
+    for (int k : combo[t]->needs) {
+      bool fed = false;  // never for k < 0: no execution writes that pair
+      for (std::size_t u = 0; k >= 0 && u < combo.size() && !fed; ++u)
+        fed = u != t && ((combo[u]->provides[k >> 6] >> (k & 63)) & 1);
+      if (!fed) return true;
+    }
+  }
+  return false;
+}
+
+/// The flattened event universe of one per-thread execution combination,
+/// shared by both Phase C engines and rebuilt in place for every combo.
+/// The initial write of every touched address is a virtual event on
+/// thread -1 (external to every real thread, co-first at its address)
+/// whose id equals its address index; each thread's events follow as one
+/// contiguous id range, in thread order.
+struct ComboEvents {
+  std::vector<Addr> addrs;  ///< sorted; position = address index
+  std::vector<Event> ev;
+  std::vector<int> thread_begin;  ///< thread t owns [begin[t], begin[t+1])
+  std::vector<std::vector<int>> writes;  ///< real write ids per address index
+  std::vector<int> reads;
+  std::vector<const ThreadExec*> combo;
+
+  ComboEvents(std::vector<Addr> addr_list,
+              const std::vector<std::uint64_t>& init_vals)
+      : addrs(std::move(addr_list)), writes(addrs.size()) {
+    for (std::size_t a = 0; a < addrs.size(); ++a) {
+      Event e;
+      e.kind = Event::kWrite;
+      e.thread = -1;
+      e.addr = addrs[a];
+      e.aix = static_cast<int>(a);
+      e.value = init_vals[a];
+      ev.push_back(e);
+    }
+  }
+
+  void build(const std::vector<const ThreadExec*>& c) {
+    combo = c;
+    ev.resize(addrs.size());
+    thread_begin.clear();
+    for (auto& ws : writes) ws.clear();
+    reads.clear();
+    for (const ThreadExec* x : combo) {
+      thread_begin.push_back(static_cast<int>(ev.size()));
+      for (const Event& e : x->events) {
+        const int id = static_cast<int>(ev.size());
+        if (e.kind == Event::kRead) reads.push_back(id);
+        if (e.kind == Event::kWrite) writes[e.aix].push_back(id);
+        ev.push_back(e);
+      }
+    }
+    thread_begin.push_back(static_cast<int>(ev.size()));
+  }
+
+  /// Id of the initial write at `a` (== the address index of `a`).
+  int init_id(Addr a) const {
+    return static_cast<int>(std::lower_bound(addrs.begin(), addrs.end(), a) -
+                            addrs.begin());
   }
 
   /// Real writes at `a` (never includes the virtual init write). Null when
   /// there are none.
   const std::vector<int>* writes_at(Addr a) const {
-    auto it = writes_by_addr.find(a);
-    return it == writes_by_addr.end() ? nullptr : &it->second;
+    const std::vector<int>& ws = writes[init_id(a)];
+    return ws.empty() ? nullptr : &ws;
+  }
+
+  /// Event ids of thread t, in po order.
+  auto thread_ids(int t) const {
+    return std::views::iota(thread_begin[t], thread_begin[t + 1]);
+  }
+
+  template <typename Fn>
+  void for_deps(int thread, std::uint64_t mask, Fn&& fn) const {
+    const int base = thread_begin[thread];
+    for_dep_reads(combo[thread]->read_po, mask,
+                  [&](int i) { fn(base + i); });
   }
 };
 
-/// dob/bob edges that do not depend on the rf/co choice. Shared verbatim by
-/// both engines so the naive oracle and the POR engine see the same static
-/// relation.
+/// Every thread's static edges, in combo event ids.
 std::vector<std::pair<int, int>> build_static_edges(const ComboEvents& ce) {
   std::vector<std::pair<int, int>> out;
-  auto add_edge = [&out](int from, int to) {
-    if (from != to) out.emplace_back(from, to);
-  };
-  for (const auto& [t, tev] : ce.thread_events) {
-    const int ti = t;
-
-    // Direct dependency clauses: addr, data, ctrl;[W].
-    for (int id : tev) {
-      const Event& e = ce.ev[id];
-      if (e.kind == Event::kFence) continue;
-      ce.for_deps(ti, e.addr_dep, [&](int r) { add_edge(r, id); });
-      if (e.kind == Event::kWrite) {
-        ce.for_deps(ti, e.data_dep, [&](int r) { add_edge(r, id); });
-        ce.for_deps(ti, e.ctrl_dep, [&](int r) { add_edge(r, id); });
-      }
-    }
-
-    // Prefix-accumulating po scan for the remaining clauses.
-    std::uint64_t addr_prefix = 0;  // addr;po;[W] and (addr;po);[ISB]
-    std::uint64_t isb_srcs = 0;     // (ctrl|(addr;po));[ISB];po;[R]
-    std::vector<int> all_before, rel_before;
-    std::vector<int> any_srcs;  // ordered before every later access
-    std::vector<int> st_srcs;   // ordered before every later write
-    for (int id : tev) {
-      const Event& e = ce.ev[id];
-      if (e.kind == Event::kFence) {
-        if (is_full_fence(e.op)) {
-          any_srcs.insert(any_srcs.end(), all_before.begin(),
-                          all_before.end());
-        } else if (is_ld_fence(e.op)) {
-          for (int b : all_before)
-            if (ce.ev[b].kind == Event::kRead) any_srcs.push_back(b);
-        } else if (is_st_fence(e.op)) {
-          for (int b : all_before)
-            if (ce.ev[b].kind == Event::kWrite) st_srcs.push_back(b);
-        } else {  // ISB
-          isb_srcs |= e.ctrl_dep | addr_prefix;
-        }
-        continue;
-      }
-      // Incoming barrier-ordered edges.
-      for (int s : any_srcs) add_edge(s, id);
-      if (e.kind == Event::kWrite)
-        for (int s : st_srcs) add_edge(s, id);
-      if (e.kind == Event::kRead)
-        ce.for_deps(ti, isb_srcs, [&](int r) { add_edge(r, id); });
-      // addr;po;[W]: reads feeding any earlier access's address order
-      // before every later write.
-      if (e.kind == Event::kWrite)
-        ce.for_deps(ti, addr_prefix, [&](int r) { add_edge(r, id); });
-      // po;[L] and [L];po;[A].
-      if (e.kind == Event::kWrite && e.rel) {
-        for (int b : all_before) add_edge(b, id);
-        rel_before.push_back(id);
-      }
-      if (e.kind == Event::kRead && e.acq)
-        for (int l : rel_before) add_edge(l, id);
-      // [A|Q];po.
-      if (e.kind == Event::kRead && (e.acq || e.acq_pc))
-        any_srcs.push_back(id);
-      addr_prefix |= e.addr_dep;
-      all_before.push_back(id);
-    }
-  }
+  for (std::size_t t = 0; t < ce.combo.size(); ++t)
+    for (const auto& [from, to] : ce.combo[t]->static_edges)
+      out.emplace_back(ce.thread_begin[t] + from, ce.thread_begin[t] + to);
   return out;
 }
 
@@ -523,8 +729,8 @@ class ComboChecker {
     for (std::size_t i = 0; i < ce_.reads.size(); ++i) {
       const Event& r = ce_.ev[ce_.reads[i]];
       auto& cand = rf_cand_[i];
-      if (ce_.ev[ce_.init_id.at(r.addr)].value == r.value)
-        cand.push_back(ce_.init_id.at(r.addr));
+      if (ce_.ev[ce_.init_id(r.addr)].value == r.value)
+        cand.push_back(ce_.init_id(r.addr));
       if (const auto* ws = ce_.writes_at(r.addr))
         for (int w : *ws)
           if (ce_.ev[w].value == r.value) cand.push_back(w);
@@ -549,8 +755,10 @@ class ComboChecker {
     // the init write is always co-first.
     co_addrs_.clear();
     co_perm_.clear();
-    for (const auto& [a, ws] : ce_.writes_by_addr) {
-      co_addrs_.push_back(a);
+    for (std::size_t a = 0; a < ce_.addrs.size(); ++a) {
+      const std::vector<int>& ws = ce_.writes[a];
+      if (ws.empty()) continue;
+      co_addrs_.push_back(ce_.addrs[a]);
       co_perm_.push_back(ws);  // start from Phase-B order, sorted below
       std::sort(co_perm_.back().begin(), co_perm_.back().end());
     }
@@ -593,10 +801,9 @@ class ComboChecker {
     for (const auto& [from, to] : static_) external[from].push_back(to);
 
     // po-loc chains per thread.
-    for (const auto& [t, tev] : ce_.thread_events) {
-      (void)t;
+    for (std::size_t t = 0; t < ce_.combo.size(); ++t) {
       std::map<Addr, int> last;
-      for (int id : tev) {
+      for (int id : ce_.thread_ids(static_cast<int>(t))) {
         const Event& e = ce_.ev[id];
         if (e.kind == Event::kFence) continue;
         if (auto it = last.find(e.addr); it != last.end())
@@ -607,7 +814,7 @@ class ComboChecker {
     // co (full pairs, both graphs where external).
     std::vector<std::pair<int, int>> co_pairs;
     for (std::size_t k = 0; k < co_addrs_.size(); ++k) {
-      const int init_w = ce_.init_id.at(co_addrs_[k]);
+      const int init_w = ce_.init_id(co_addrs_[k]);
       const auto& perm = co_perm_[k];
       for (std::size_t i = 0; i < perm.size(); ++i) {
         co_pairs.emplace_back(init_w, perm[i]);
@@ -651,7 +858,7 @@ class ComboChecker {
                    ce_.ev[w1].ctrl_dep | ce_.ev[w1].data_dep,
                    [&](int r) { external[r].push_back(w2); });
       if (ce_.ev[w1].rel)
-        for (int b : ce_.thread_events.at(ce_.ev[w1].thread)) {
+        for (int b : ce_.thread_ids(ce_.ev[w1].thread)) {
           if (b == w1) break;
           if (ce_.ev[b].kind != Event::kFence) external[b].push_back(w2);
         }
@@ -667,7 +874,7 @@ class ComboChecker {
     for (const auto& [t, reg] : p_.observe_regs)
       o.push_back(reg == sim::XZR ? 0 : combo_[t]->regs[reg]);
     for (Addr a : p_.observe_mem) {
-      std::uint64_t final_v = ce_.ev[ce_.init_id.at(a)].value;
+      std::uint64_t final_v = ce_.ev[ce_.init_id(a)].value;
       int best = 0;
       if (const auto* ws = ce_.writes_at(a))
         for (int w : *ws)
@@ -700,94 +907,58 @@ class ComboChecker {
 // ordered-before relations.
 // ---------------------------------------------------------------------------
 
-/// Dense incremental transitive closure over event ids: one bitset row per
-/// event holding its reachable set. This is the memoized relation frontier —
-/// instead of rebuilding a graph and running a DFS per candidate, each DFS
-/// level copies its parent's closure and extends it edge-by-edge.
-class Reach {
- public:
-  void init(std::size_t n) {
-    n_ = n;
-    words_ = (n + 63) / 64;
-    bits_.assign(n_ * words_, 0);
-  }
-
-  bool reach(int u, int v) const {
-    return (bits_[static_cast<std::size_t>(u) * words_ + (v >> 6)] >>
-            (v & 63)) &
-           1;
-  }
-
-  /// Add edge u->v and re-close. Returns false iff the edge closes a cycle
-  /// (including u == v); the closure must then be discarded. Acyclicity is
-  /// monotone-decreasing under edge addition, so a false here condemns every
-  /// extension of the current choice prefix — that is the pruning theorem
-  /// the whole engine rests on (DESIGN.md §12).
-  bool add(int u, int v) {
-    if (u == v || reach(v, u)) return false;
-    if (reach(u, v)) return true;  // already implied, closure unchanged
-    const std::uint64_t* src = &bits_[static_cast<std::size_t>(v) * words_];
-    for (std::size_t w = 0; w < n_; ++w) {
-      if (static_cast<int>(w) != u && !reach(static_cast<int>(w), u))
-        continue;
-      std::uint64_t* dst = &bits_[w * words_];
-      for (std::size_t k = 0; k < words_; ++k) dst[k] |= src[k];
-      dst[v >> 6] |= 1ULL << (v & 63);
-    }
-    return true;
-  }
-
- private:
-  std::size_t n_ = 0, words_ = 0;
-  std::vector<std::uint64_t> bits_;
-};
-
+/// One instance serves every combo of an enumeration: check() reads the
+/// combo ComboEvents currently holds, and every buffer (closure stack, rf
+/// candidate lists, groups) keeps its capacity across combos, so the steady
+/// state allocates nothing.
 class PorChecker {
  public:
   PorChecker(const ConcurrentProgram& p, const ModelOptions& opts,
-             const std::vector<const ThreadExec*>& combo,
              const ComboEvents& ce, OutcomeSet* out)
-      : p_(p), opts_(opts), combo_(combo), ce_(ce), out_(out) {}
+      : p_(p), opts_(opts), ce_(ce), out_(out) {
+    for (Addr a : p_.observe_mem) observe_aix_.push_back(ce_.init_id(a));
+  }
 
-  /// Search every (rf, co) choice for this combo, recording the outcome of
-  /// each consistent leaf. Returns false when the candidate budget is
-  /// exhausted.
+  /// Search every (rf, co) choice for the current combo, recording the
+  /// outcome of each consistent leaf. Returns false when the candidate
+  /// budget is exhausted.
   bool check() {
     const std::size_t n = ce_.ev.size();
-    State base;
+    if (stack_.empty()) stack_.resize(1);
+    State& base = stack_[0];
     base.ic.init(n);
     base.ec.init(n);
 
-    // Choice-independent relation: static dob/bob edges seed the external
-    // closure; po-loc chains and the init write's co edges (init is
-    // co-first at its address, external to every thread) are static too.
-    // None of these can cycle — po is a total per-thread order and init
-    // writes have no incoming edges — but prune defensively if they do.
-    for (const auto& [from, to] : build_static_edges(ce_))
-      if (!base.ec.add(from, to)) return true;
-    for (const auto& [t, tev] : ce_.thread_events) {
-      (void)t;
-      std::map<Addr, int> last;
-      for (int id : tev) {
-        const Event& e = ce_.ev[id];
-        if (e.kind == Event::kFence) continue;
-        if (auto it = last.find(e.addr); it != last.end())
-          if (!base.ic.add(it->second, id)) return true;
-        last[e.addr] = id;
+    // Choice-independent relation: each thread's static dob/bob closure
+    // seeds the external closure and its po-loc closure the internal one;
+    // the init writes' co edges (init is co-first at its address, external
+    // to every thread) are static too. Base edges are intra-thread or
+    // init->w and nothing reaches an init write, so copying the per-thread
+    // closure rows and then closing the init rows is the exact closure.
+    for (std::size_t t = 0; t < ce_.combo.size(); ++t) {
+      const ThreadExec& x = *ce_.combo[t];
+      const int off = ce_.thread_begin[t];
+      for (std::size_t i = 0; i < x.events.size(); ++i) {
+        const int id = off + static_cast<int>(i);
+        base.ic.or_shifted(id, x.ic_local.row(static_cast<int>(i)),
+                           x.ic_local.words(), off);
+        base.ec.or_shifted(id, x.ec_local.row(static_cast<int>(i)),
+                           x.ec_local.words(), off);
       }
     }
-    for (const auto& [a, ws] : ce_.writes_by_addr) {
-      const int iw = ce_.init_id.at(a);
-      for (int w : ws)
-        if (!base.ic.add(iw, w) || !base.ec.add(iw, w)) return true;
-    }
+    for (std::size_t a = 0; a < ce_.addrs.size(); ++a)
+      for (int w : ce_.writes[a]) {
+        base.ic.absorb(static_cast<int>(a), w);
+        base.ec.absorb(static_cast<int>(a), w);
+      }
 
     // rf candidates, with the early-infeasibility cut: beyond the value
     // match the naive engine uses, a write the read already reaches in the
     // relation its rf edge would land in can never be the source without
     // closing a cycle — drop it before the search starts.
-    rf_cand_.resize(ce_.reads.size());
-    for (std::size_t i = 0; i < ce_.reads.size(); ++i) {
+    const std::size_t nreads = ce_.reads.size();
+    if (rf_cand_.size() < nreads) rf_cand_.resize(nreads);
+    for (std::size_t i = 0; i < nreads; ++i) {
       const int r = ce_.reads[i];
       const Event& re = ce_.ev[r];
       auto& cand = rf_cand_[i];
@@ -799,11 +970,9 @@ class PorChecker {
           return false;
         return true;
       };
-      const int iw = ce_.init_id.at(re.addr);
-      if (feasible(iw)) cand.push_back(iw);
-      if (const auto* ws = ce_.writes_at(re.addr))
-        for (int w : *ws)
-          if (feasible(w)) cand.push_back(w);
+      if (feasible(re.aix)) cand.push_back(re.aix);  // the init write
+      for (int w : ce_.writes[re.aix])
+        if (feasible(w)) cand.push_back(w);
       if (cand.empty()) return true;  // combo infeasible, not over budget
     }
 
@@ -812,23 +981,21 @@ class PorChecker {
     // competing writes than that is far beyond any budget anyway.
     groups_.clear();
     std::size_t co_slots = 0;
-    for (const auto& [a, ws] : ce_.writes_by_addr) {
+    for (std::size_t a = 0; a < ce_.addrs.size(); ++a) {
+      const std::vector<int>& ws = ce_.writes[a];  // ascending ids
+      if (ws.empty()) continue;
       if (ws.size() > 32) {
         out_->complete = false;
         return true;
       }
-      Group g;
-      g.addr = a;
-      g.ws = ws;
-      std::sort(g.ws.begin(), g.ws.end());
-      co_slots += g.ws.size();
-      groups_.push_back(std::move(g));
+      co_slots += ws.size();
+      groups_.push_back({static_cast<int>(a), &ws});
     }
     group_last_.assign(groups_.size(), -1);
 
-    stack_.resize(ce_.reads.size() + co_slots + 2);
-    stack_[0] = std::move(base);
-    rf_.assign(ce_.reads.size(), -1);
+    if (stack_.size() < nreads + co_slots + 2)
+      stack_.resize(nreads + co_slots + 2);
+    rf_.assign(nreads, -1);
     return assign_rf(0, 0);
   }
 
@@ -838,8 +1005,8 @@ class PorChecker {
     Reach ec;  ///< external: obs ∪ dob ∪ bob
   };
   struct Group {
-    Addr addr = 0;
-    std::vector<int> ws;
+    int aix = 0;
+    const std::vector<int>* ws = nullptr;
   };
 
   bool charge() {
@@ -890,19 +1057,18 @@ class PorChecker {
       if (!ok) return false;
     }
     if (we.thread == -1) {
-      if (const auto* ws = ce_.writes_at(re.addr))
-        for (int w2 : *ws) {
-          if (!st.ic.add(r, w2)) return false;
-          if (ce_.ev[w2].thread != re.thread && !st.ec.add(r, w2))
-            return false;
-        }
+      for (int w2 : ce_.writes[re.aix]) {
+        if (!st.ic.add(r, w2)) return false;
+        if (ce_.ev[w2].thread != re.thread && !st.ec.add(r, w2))
+          return false;
+      }
     }
     return true;
   }
 
   bool place_groups(std::size_t g, std::size_t depth) {
     if (g == groups_.size()) return record_outcome();
-    const std::size_t sz = groups_[g].ws.size();
+    const std::size_t sz = groups_[g].ws->size();
     const std::uint32_t full =
         sz >= 32 ? 0xffffffffu : ((1u << sz) - 1u);
     return place_co(g, full, depth);
@@ -913,7 +1079,7 @@ class PorChecker {
   /// u — each ordered pair at the address is decided exactly once across
   /// the placement sequence, mirroring the naive engine's full pair list.
   bool place_co(std::size_t g, std::uint32_t mask, std::size_t depth) {
-    const auto& ws = groups_[g].ws;
+    const auto& ws = *groups_[g].ws;
     if ((mask & (mask - 1)) == 0) {  // at most one left: it is co-last
       group_last_[g] = mask ? ws[__builtin_ctz(mask)] : -1;
       return place_groups(g + 1, depth);
@@ -950,11 +1116,9 @@ class PorChecker {
                    [&](int r) { ok = ok && st.ec.add(r, w2); });
       if (!ok) return false;
       if (e1.rel)
-        for (int b : ce_.thread_events.at(e1.thread)) {
-          if (b == w1) break;
+        for (int b = ce_.thread_begin[e1.thread]; b < w1; ++b)
           if (ce_.ev[b].kind != Event::kFence && !st.ec.add(b, w2))
             return false;
-        }
     }
     // fr = rf⁻¹;co. All rf choices precede the co phase, so rf_ is final.
     for (std::size_t i = 0; i < ce_.reads.size(); ++i) {
@@ -974,11 +1138,11 @@ class PorChecker {
     Outcome o;
     o.reserve(p_.observe_regs.size() + p_.observe_mem.size());
     for (const auto& [t, reg] : p_.observe_regs)
-      o.push_back(reg == sim::XZR ? 0 : combo_[t]->regs[reg]);
-    for (Addr a : p_.observe_mem) {
-      std::uint64_t v = ce_.ev[ce_.init_id.at(a)].value;
+      o.push_back(reg == sim::XZR ? 0 : ce_.combo[t]->regs[reg]);
+    for (int aix : observe_aix_) {
+      std::uint64_t v = ce_.ev[aix].value;
       for (std::size_t g = 0; g < groups_.size(); ++g)
-        if (groups_[g].addr == a && group_last_[g] >= 0)
+        if (groups_[g].aix == aix && group_last_[g] >= 0)
           v = ce_.ev[group_last_[g]].value;
       o.push_back(v);
     }
@@ -988,16 +1152,17 @@ class PorChecker {
 
   const ConcurrentProgram& p_;
   const ModelOptions& opts_;
-  const std::vector<const ThreadExec*>& combo_;
   const ComboEvents& ce_;
   OutcomeSet* out_;
+  std::vector<int> observe_aix_;
 
   std::vector<std::vector<int>> rf_cand_;
   std::vector<int> rf_;
   std::vector<Group> groups_;
   std::vector<int> group_last_;
-  /// One closure pair per DFS depth, reused across siblings so steady-state
-  /// search does no allocation — copies land in already-sized buffers.
+  /// One closure pair per DFS depth, reused across siblings and combos so
+  /// steady-state search does no allocation — copies land in already-sized
+  /// buffers.
   std::vector<State> stack_;
 };
 
@@ -1060,16 +1225,22 @@ OutcomeSet enumerate_outcomes(const ConcurrentProgram& p,
   }
 
   // Every address any event touches gets a virtual initial write.
-  std::set<Addr> addrs;
+  std::set<Addr> addr_set;
   for (const auto& [a, v] : p.init) {
     (void)v;
-    addrs.insert(a);
+    addr_set.insert(a);
   }
-  for (Addr a : p.observe_mem) addrs.insert(a);
+  for (Addr a : p.observe_mem) addr_set.insert(a);
   for (const auto& texecs : execs)
     for (const ThreadExec& ex : texecs)
       for (const Event& e : ex.events)
-        if (e.kind != Event::kFence) addrs.insert(e.addr);
+        if (e.kind != Event::kFence) addr_set.insert(e.addr);
+  std::vector<Addr> addrs(addr_set.begin(), addr_set.end());
+  std::vector<std::uint64_t> init_vals;
+  for (Addr a : addrs) {
+    const auto it = init.find(a);
+    init_vals.push_back(it == init.end() ? 0 : it->second);
+  }
 
   // Phase C: odometer over one candidate execution per thread; each combo
   // goes to the selected engine. enum_ns covers the whole phase on every
@@ -1084,19 +1255,25 @@ OutcomeSet enumerate_outcomes(const ConcurrentProgram& p,
   const std::size_t T = execs.size();
   for (const auto& texecs : execs)
     if (texecs.empty()) return out;  // no completed path (complete=false set)
+  summarize(execs, addrs, init_vals);
+  ComboEvents ce(std::move(addrs), init_vals);
+  PorChecker por(p, opts, ce, &out);
   std::vector<std::size_t> pick(T, 0);
   std::vector<const ThreadExec*> combo(T);
   for (;;) {
     for (std::size_t t = 0; t < T; ++t) combo[t] = &execs[t][pick[t]];
     ++out.combos;
-    ComboEvents ce(combo, addrs, init);
-    bool in_budget;
+    bool in_budget = true;
     if (opts.naive) {
+      ce.build(combo);
       ComboChecker checker(p, opts, combo, ce, &out);
       in_budget = checker.check();
+    } else if (starved(combo)) {
+      ++out.combos_skipped;  // exactly the combos the search returns from
+                             // before charging a node
     } else {
-      PorChecker checker(p, opts, combo, ce, &out);
-      in_budget = checker.check();
+      ce.build(combo);
+      in_budget = por.check();
     }
     if (!in_budget) {
       stamp();

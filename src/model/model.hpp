@@ -37,6 +37,11 @@
 //            control dependencies;
 //   Phase C  combines one candidate execution per thread and searches the
 //            (rf, co) choice space for candidates that satisfy the axioms.
+//            Work that depends on one thread execution alone (its static
+//            edges and their closure, what its writes provide, which of
+//            its reads need another thread) is summarized once per
+//            execution, and combos whose needs no other thread meets are
+//            skipped exactly (DESIGN.md §12).
 //
 // Phase C has two interchangeable engines (ISSUE 5 tentpole):
 //   * The default partial-order-reduction (POR) engine walks rf choices and
@@ -84,6 +89,9 @@ struct ConcurrentProgram {
   std::vector<std::pair<std::uint32_t, sim::Reg>> observe_regs;
   /// Observed final memory words, appended after the registers.
   std::vector<Addr> observe_mem;
+
+  friend bool operator==(const ConcurrentProgram&,
+                         const ConcurrentProgram&) = default;
 };
 
 /// Enumeration budgets. The defaults comfortably cover every litmus shape
@@ -119,6 +127,11 @@ struct OutcomeSet {
   /// this matches the naive engine bit-for-bit (asserted by tests).
   std::uint64_t consistent = 0;
   std::uint64_t combos = 0;    ///< per-thread execution combinations tried
+  /// Combos the POR engine's exact pre-check skipped: some read can take
+  /// its value from no other thread's picked execution, so the search would
+  /// return before its first node. Counted in `combos`; always 0 under
+  /// ModelOptions::naive.
+  std::uint64_t combos_skipped = 0;
   std::uint64_t enum_ns = 0;   ///< wall-clock ns spent in Phase C
 
   bool ok() const { return error.empty(); }

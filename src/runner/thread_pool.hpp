@@ -71,6 +71,7 @@ class ThreadPool {
   bool is_shutdown();
   static void run_task(const Task& t);
   static void cancel_task(const Task& t);
+  static void finish_task(Job& job);
   void worker_loop(std::size_t id);
 
   std::vector<std::unique_ptr<WorkerQueue>> queues_;

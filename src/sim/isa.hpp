@@ -168,6 +168,8 @@ struct Instr {
   Reg rm = XZR;
   std::int64_t imm = 0;
   std::uint32_t target = 0;
+
+  friend bool operator==(const Instr&, const Instr&) = default;
 };
 
 /// Human-readable mnemonic (diagnostics, traces, test failure messages).

@@ -41,6 +41,8 @@ struct Program {
   /// This — not disassemble(), whose mnemonics contain spaces/brackets — is
   /// the format embedded in repro bundles.
   std::string serialize() const;
+
+  friend bool operator==(const Program&, const Program&) = default;
 };
 
 /// Parse Program::serialize() output. Returns false (and sets *err) on any

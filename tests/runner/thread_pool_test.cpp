@@ -152,5 +152,21 @@ TEST(ThreadPool, LargeFanOutSumsCorrectly) {
   EXPECT_EQ(sum, static_cast<std::uint64_t>(n) * (n - 1) / 2);
 }
 
+TEST(ThreadPool, ThousandsOfTinyJobsNeverOutliveTheirWaiter) {
+  // parallel_for's Job lives on the caller's stack. The worker finishing
+  // the last task must be done with it before the waiter can return and
+  // destroy it; with one or two tasks per job the waiter races that worker
+  // every time. A thread sanitizer build flags any touch of a finished Job.
+  ThreadPool pool(4);
+  std::atomic<std::size_t> total{0};
+  std::size_t expected = 0;
+  for (std::size_t round = 0; round < 5000; ++round) {
+    const std::size_t n = 1 + round % 2;
+    pool.parallel_for(n, [&](std::size_t) { total.fetch_add(1); });
+    expected += n;
+  }
+  EXPECT_EQ(total.load(), expected);
+}
+
 }  // namespace
 }  // namespace armbar::runner

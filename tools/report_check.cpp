@@ -70,6 +70,12 @@ bool check_file(const char* path) {
                     t->find("rewrites_accepted")->number() -
                     t->find("rewrites_restored")->number(),
                 t->find("barriers_eliminated")->number());
+    std::printf("%s:   opt_report: %.0f oracle calls, %.0f combos (%.0f "
+                "skipped by the pre-check), %.0f candidates\n",
+                path, t->find("oracle_calls")->number(),
+                t->find("combos")->number(),
+                t->find("combos_skipped")->number(),
+                t->find("candidates")->number());
   }
   for (const armbar::trace::Json& q : doc.find("quarantine")->items()) {
     std::fprintf(stderr, "%s: quarantined '%s': %s (%s)\n", path,
