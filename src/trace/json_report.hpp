@@ -100,6 +100,15 @@ class ReportBuilder {
 
 inline constexpr const char* kOptReportSchema = "armbar.opt.report/v1";
 
+/// Counters every armbar.opt.report/v1 program entry and its totals object
+/// carry, the totals being the per-program sums: the rewrite triple
+/// (attempted >= accepted + restored) and the oracle's deterministic work
+/// counters. Host timings never appear here.
+inline constexpr const char* kOptReportCounters[] = {
+    "rewrites_attempted", "rewrites_accepted", "rewrites_restored",
+    "oracle_calls",       "combos",            "combos_skipped",
+    "candidates"};
+
 /// Validate a parsed document against armbar.bench.report/v2 (or v1). On
 /// failure returns false and describes the first violation in *err.
 /// Beyond the structural checks, rejects reports where host profiling
