@@ -19,7 +19,8 @@
 #     armbar-perf pass gates every per-preset throughput at >= 3x the
 #     frozen PR-6 (pre-fast-path) report;
 #   * a bit-identity gate: all 18 figure/table experiments' points digests
-#     must match the pinned baseline exactly;
+#     must match the pinned baseline exactly, and that sweep's peak RSS
+#     must stay under 256 MB (simulated memory is paged on first touch);
 #   * a --profile smoke: the profiled report validates and carries
 #     host_prof, and every points digest is bit-identical to the
 #     unprofiled run (profiling never perturbs results);
@@ -158,9 +159,20 @@ echo "== bit-identity gate (points digests vs pinned baseline) =="
 # to the pre-fast-path build was proven separately by rebuilding with the
 # old epoch string and reproducing the old pin (see POINTS_DIGESTS.json's
 # note). On an intentional epoch bump, repeat that check, then re-pin.
-"$BENCH" --filter 'fig*,table*,ablation*' --jobs "$(nproc)" \
-    --cache-dir "$CACHE_DIR" \
-    --json="$SMOKE_DIR/all-points.report.json" > /dev/null
+# The same sweep gates memory: simulated memory is paged on first touch,
+# so the whole sweep peaks at tens of MB; eager allocation of every
+# machine's configured size (64 MiB for Figs 2/3/5) peaked at ~850 MB.
+python3 - "$BENCH" "$(nproc)" "$CACHE_DIR" \
+    "$SMOKE_DIR/all-points.report.json" <<'EOF'
+import resource, subprocess, sys
+bench, jobs, cache_dir, report = sys.argv[1:]
+subprocess.run([bench, "--filter", "fig*,table*,ablation*", "--jobs", jobs,
+                "--cache-dir", cache_dir, f"--json={report}"],
+               stdout=subprocess.DEVNULL, check=True)
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+assert peak_mb < 256, f"sweep peak RSS {peak_mb:.0f} MB, gate is 256 MB"
+print(f"memory gate OK (sweep peak RSS {peak_mb:.0f} MB < 256 MB)")
+EOF
 python3 - "$SMOKE_DIR/all-points.report.json" \
     bench/baselines/POINTS_DIGESTS.json <<'EOF'
 import json, sys

@@ -1,5 +1,6 @@
 #include "dedup/dedup.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <thread>
 #include <unordered_map>
@@ -198,16 +199,39 @@ std::vector<std::uint8_t> compress(const std::uint8_t* p, std::size_t n) {
     }
   };
 
+  // Every match the greedy search can keep starts with the same kMinMatch
+  // bytes as position i, so sort the positions by (those bytes, position)
+  // once: the candidates for i are then the run of equal-prefix entries
+  // just before i's own, in ascending position order.
+  std::vector<std::pair<std::uint64_t, std::size_t>> by_prefix;
+  std::vector<std::size_t> rank;
+  if (n >= kMinMatch) {
+    by_prefix.reserve(n - kMinMatch + 1);
+    for (std::size_t j = 0; j + kMinMatch <= n; ++j) {
+      std::uint64_t key = 0;
+      for (std::size_t k = 0; k < kMinMatch; ++k)
+        key |= static_cast<std::uint64_t>(p[j + k]) << (8 * k);
+      by_prefix.emplace_back(key, j);
+    }
+    std::sort(by_prefix.begin(), by_prefix.end());
+    rank.resize(by_prefix.size());
+    for (std::size_t r = 0; r < by_prefix.size(); ++r) rank[by_prefix[r].second] = r;
+  }
+
   while (i < n) {
-    // Greedy back-search in the window for the longest match.
+    // Greedy back-search in the window for the longest match: the earliest
+    // of the longest, stopping once a match reaches 64 bytes.
     std::size_t best_len = 0, best_dist = 0;
     const std::size_t w0 = i > kWindowSize ? i - kWindowSize : 0;
     if (n - i >= kMinMatch) {
-      for (std::size_t cand = w0; cand < i; ++cand) {
-        std::size_t len = 0;
-        const std::size_t max_len = std::min<std::size_t>(n - i, 0xffff);
-        while (len < max_len && p[cand + len] == p[i + len] && cand + len < i + len)
-          ++len;
+      const auto self = by_prefix.begin() + static_cast<std::ptrdiff_t>(rank[i]);
+      const std::size_t max_len = std::min<std::size_t>(n - i, 0xffff);
+      for (auto it = std::lower_bound(by_prefix.begin(), self,
+                                      std::make_pair(self->first, w0));
+           it != self; ++it) {
+        const std::size_t cand = it->second;
+        std::size_t len = kMinMatch;
+        while (len < max_len && p[cand + len] == p[i + len]) ++len;
         if (len > best_len) {
           best_len = len;
           best_dist = i - cand;

@@ -1,5 +1,6 @@
 #include "opt/driver.hpp"
 
+#include <optional>
 #include <set>
 #include <sstream>
 #include <utility>
@@ -137,29 +138,40 @@ OptResult optimize(const model::ConcurrentProgram& prog,
   const model::ConcurrentProgram verified_snapshot = cur;
 
   if (opts.plant == OptOptions::Plant::kDeleteBypassingOracle) {
-    for (std::uint32_t ti = 0; ti < cur.threads.size() && !r.planted_injected;
-         ++ti)
-      for (std::uint32_t pc = 0; pc < cur.threads[ti].code.size(); ++pc)
-        if (sim::is_barrier(cur.threads[ti].code[pc].op)) {
-          RewriteCandidate c;
-          c.thread = ti;
-          c.pc = pc;
-          c.kind = RewriteKind::kDeleteRedundant;
-          RewriteRecord rec;
-          rec.cand = c;
-          rec.pass = "planted";
-          rec.planted = true;
-          rec.before = sim::op_token(cur.threads[ti].code[pc].op);
-          rec.after = "-";
-          model::ConcurrentProgram trial;
-          if (!apply_rewrite(cur, c, &trial)) break;
-          cur = std::move(trial);
-          ++r.attempted;
-          ++r.accepted;  // accepted *without* an oracle check — the bug
-          r.planted_injected = true;
-          r.rewrites.push_back(std::move(rec));
+    // Aim at a barrier the oracle refused to weaken during the search:
+    // deleting it is weaker still, so the plant is unsound by the oracle's
+    // own verdict. Registry order puts refused deletes first. With no
+    // refusal, fall back to the first surviving barrier, whose delete may
+    // turn out outcome-equal (a harmless plant).
+    std::optional<RewriteCandidate> target;
+    for (const Pass* p : passes) {
+      for (const RewriteCandidate& c : p->collect(cur))
+        if (rejected.count(p->name + "/" + c.signature()) != 0) {
+          target = RewriteCandidate{c.thread, c.pc};  // a delete at its site
           break;
         }
+      if (target) break;
+    }
+    for (std::uint32_t ti = 0; ti < cur.threads.size() && !target; ++ti)
+      for (std::uint32_t pc = 0; pc < cur.threads[ti].code.size(); ++pc)
+        if (sim::is_barrier(cur.threads[ti].code[pc].op)) {
+          target = RewriteCandidate{ti, pc};
+          break;
+        }
+    model::ConcurrentProgram trial;
+    if (target && apply_rewrite(cur, *target, &trial)) {
+      RewriteRecord rec;
+      rec.cand = *target;
+      rec.pass = "planted";
+      rec.planted = true;
+      rec.before = sim::op_token(cur.threads[target->thread].code[target->pc].op);
+      rec.after = "-";
+      cur = std::move(trial);
+      ++r.attempted;
+      ++r.accepted;  // accepted *without* an oracle check — the bug
+      r.planted_injected = true;
+      r.rewrites.push_back(std::move(rec));
+    }
   }
 
   if (opts.final_verify) {
@@ -174,6 +186,7 @@ OptResult optimize(const model::ConcurrentProgram& prog,
                                           enumerate(cur, opts.model, &r));
     if (v.equal) {
       r.verified_equal = true;
+      r.planted_harmless = r.planted_injected;  // the delete was legal
     } else {
       // The per-candidate proofs cover everything up to the snapshot, so a
       // mismatch here can only come from a rewrite that skipped the oracle.
@@ -251,6 +264,7 @@ trace::Json opt_report_json(const std::vector<OptResult>& results) {
     if (r.planted_injected) {
       p.set("planted", true);
       p.set("planted_caught", r.planted_caught);
+      p.set("planted_harmless", r.planted_harmless);
     }
     trace::Json rws = trace::Json::array();
     for (const RewriteRecord& rec : r.rewrites) {

@@ -55,9 +55,11 @@ struct OptOptions {
   bool final_verify = true;
 
   /// Test-only hook (planted-unsoundness self-test): after the search
-  /// converges, delete the first surviving standalone barrier *without*
-  /// consulting the oracle. The final verification must catch and restore
-  /// it — proving the oracle is load-bearing, not decorative.
+  /// converges, delete a barrier *without* consulting the oracle: one the
+  /// oracle refused to weaken during the search if there is one, else the
+  /// first surviving standalone barrier. The final verification must catch
+  /// and restore an unsound plant — proving the oracle is load-bearing, not
+  /// decorative — and reports an outcome-equal one as harmless.
   enum class Plant : std::uint8_t { kNone, kDeleteBypassingOracle };
   Plant plant = Plant::kNone;
 };
@@ -100,6 +102,9 @@ struct OptResult {
 
   bool planted_injected = false;
   bool planted_caught = false;
+  /// The final verification found the planted program outcome-equal to
+  /// the baseline: the delete was legal, so it tested nothing.
+  bool planted_harmless = false;
   /// Final verification matched the baseline (always expected clean;
   /// also true after a caught plant is restored).
   bool verified_equal = false;

@@ -19,10 +19,17 @@
 //   become visible out of program order.
 // * Values live at 8-byte-word granularity, which gives the simulator the
 //   64-bit single-copy atomicity that Pilot (paper §4.3) relies on.
+// * Storage is paged: a directory with one slot per 4 KiB page of the
+//   configured size, each page holding its 64 lines' coherence state and
+//   its 512 words. A page is allocated, zeroed, on its first mutable access;
+//   const reads of an absent page see zero words and untouched lines. A run
+//   therefore pays for the memory it touches, not for what it reserves.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "common/types.hpp"
@@ -79,7 +86,9 @@ class MemorySystem {
   void set_home(Addr base, std::size_t bytes, NodeId node);
   NodeId home_of(Addr a) const;
 
-  std::size_t size_bytes() const { return words_.size() * kWordBytes; }
+  std::size_t size_bytes() const { return mem_bytes_; }
+  /// Pages allocated so far: those some mutable access has touched.
+  std::size_t resident_pages() const { return resident_pages_; }
 
   // ---- functional access (setup/teardown, no timing) ----
   /// End-of-time view: includes any pending (in-flight) store's value.
@@ -121,34 +130,65 @@ class MemorySystem {
   const MemStats& stats() const { return stats_; }
   void reset_stats() { stats_ = MemStats{}; }
 
-  const LineState& line_state(Addr a) const { return lines_[line_index(a)]; }
+  /// Coherence state of `a`'s line; an untouched line reads as the default.
+  const LineState& line_state(Addr a) const;
 
   /// Test seam for the invariant checker: overwrite a line's coherence
   /// metadata wholesale. Exists so tests can construct states the simulator
   /// itself can never reach (e.g. an owner plus a foreign sharer) and prove
   /// the MachineVerifier catches them. Never called by the simulator.
-  void debug_set_line_state(Addr a, const LineState& ls) {
-    lines_[line_index(a)] = ls;
-  }
+  void debug_set_line_state(Addr a, const LineState& ls) { line_mut(a) = ls; }
 
  private:
   // Tracer attachment goes through Machine::set_tracer() (single attach
   // point); see the note on Core::set_tracer. Fault engines follow the
-  // same pattern, and MachineVerifier scans the line table.
+  // same pattern, and MachineVerifier scans the resident pages.
   friend class Machine;
   friend class MachineVerifier;
   void set_tracer(trace::Tracer* t) { tracer_ = t; }
   void set_fault_engine(fault::FaultEngine* f) { fault_ = f; }
 
+  static constexpr std::size_t kPageBytes = 4096;
+  static constexpr std::size_t kLinesPerPage = kPageBytes / kCacheLineBytes;
+  static constexpr std::size_t kWordsPerPage = kPageBytes / kWordBytes;
+
+  /// One 4 KiB page: its lines' coherence state next to its words.
+  struct Page {
+    std::array<LineState, kLinesPerPage> lines{};
+    std::array<std::uint64_t, kWordsPerPage> words{};
+  };
+
+  /// Global word / line index of `a`, bounds-checked against mem_bytes
+  /// (word_index also rejects unaligned addresses).
   std::size_t word_index(Addr a) const;
   std::size_t line_index(Addr a) const;
-  LineState& line_mut(Addr a) { return lines_[line_index(a)]; }
-  void apply_pending(LineState& ls);
+  /// Slot of `a`'s word within its page, with word_index's checks.
+  std::size_t word_slot(Addr a) const { return word_index(a) % kWordsPerPage; }
+  /// Slot of `a`'s line within its page; unchecked, so pair it with
+  /// page_mut/page_of, which bounds-check `a`.
+  static std::size_t line_slot(Addr a) {
+    return (a / kCacheLineBytes) % kLinesPerPage;
+  }
+  /// The page holding `a`: page_mut allocates it on first use, page_of
+  /// returns null for a page never written.
+  Page& page_mut(Addr a) {
+    const std::size_t p = line_index(a) / kLinesPerPage;
+    Page* pg = pages_[p].get();
+    return pg != nullptr ? *pg : allocate_page(p);
+  }
+  Page& allocate_page(std::size_t p);
+  const Page* page_of(Addr a) const {
+    return pages_[line_index(a) / kLinesPerPage].get();
+  }
+  LineState& line_mut(Addr a) { return page_mut(a).lines[line_slot(a)]; }
+  /// Makes `ls`'s in-flight store visible; `pg` is the page holding `ls`.
+  void apply_pending(Page& pg, LineState& ls);
   void notify_holders(const LineState& ls, Addr line, CoreId except, Cycle at);
 
   const PlatformSpec spec_;
-  std::vector<std::uint64_t> words_;
-  std::vector<LineState> lines_;
+  const std::size_t mem_bytes_;
+  std::vector<std::unique_ptr<Page>> pages_;  ///< page directory; null = untouched
+  std::size_t resident_pages_ = 0;
   std::vector<NodeId> home_;  ///< per home-granule node id
   InvalidateHook inv_hook_;
   trace::Tracer* tracer_ = nullptr;

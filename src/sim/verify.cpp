@@ -14,6 +14,39 @@ std::string hex(std::uint64_t v) {
   os << "0x" << std::hex << v;
   return os.str();
 }
+
+// The MESI invariants of one line (untouched lines pass at once).
+std::string check_line(const LineState& ls, Addr at, std::uint32_t total,
+                       std::uint64_t core_mask) {
+  if (ls.owner == kNoOwner && ls.sharers == 0 && !ls.pending) return {};
+  const std::string where = "line " + hex(at) + ": ";
+  if ((ls.sharers & ~core_mask) != 0)
+    return where + "sharer mask " + hex(ls.sharers) + " names cores >= " +
+           std::to_string(total);
+  if (ls.owner != kNoOwner) {
+    if (ls.owner < 0 || static_cast<std::uint32_t>(ls.owner) >= total)
+      return where + "owner " + std::to_string(ls.owner) + " out of range";
+    // Single-writer: an owned (M/E) line may not coexist with foreign
+    // shared copies (the owner's own bit is tolerated).
+    if ((ls.sharers & ~(1ULL << ls.owner)) != 0)
+      return where + "owner " + std::to_string(ls.owner) +
+             " coexists with foreign sharers (mask " + hex(ls.sharers) + ")";
+  }
+  if (ls.pending) {
+    if (ls.pending_owner < 0 ||
+        static_cast<std::uint32_t>(ls.pending_owner) >= total)
+      return where + "pending store with invalid writer " +
+             std::to_string(ls.pending_owner);
+    if (ls.busy_until < ls.pending_at)
+      return where + "pending store lands at " +
+             std::to_string(ls.pending_at) + " after busy_until " +
+             std::to_string(ls.busy_until);
+    if ((ls.pending_keep_sharers & ~ls.sharers) != 0)
+      return where + "pending keep-sharers " + hex(ls.pending_keep_sharers) +
+             " not a subset of sharers " + hex(ls.sharers);
+  }
+  return {};
+}
 }  // namespace
 
 void set_global_verify_every(Cycle every) { g_verify_every = every; }
@@ -79,35 +112,15 @@ std::string MachineVerifier::check_lines() const {
   const std::uint32_t total = m_.spec_.total_cores();
   const std::uint64_t core_mask =
       total >= 64 ? ~0ULL : ((1ULL << total) - 1);
-  for (std::size_t i = 0; i < mem.lines_.size(); ++i) {
-    const LineState& ls = mem.lines_[i];
-    // The overwhelming majority of lines are untouched; skip them fast.
-    if (ls.owner == kNoOwner && ls.sharers == 0 && !ls.pending) continue;
-    const std::string where = "line " + hex(i * kCacheLineBytes) + ": ";
-    if ((ls.sharers & ~core_mask) != 0)
-      return where + "sharer mask " + hex(ls.sharers) + " names cores >= " +
-             std::to_string(total);
-    if (ls.owner != kNoOwner) {
-      if (ls.owner < 0 || static_cast<std::uint32_t>(ls.owner) >= total)
-        return where + "owner " + std::to_string(ls.owner) + " out of range";
-      // Single-writer: an owned (M/E) line may not coexist with foreign
-      // shared copies (the owner's own bit is tolerated).
-      if ((ls.sharers & ~(1ULL << ls.owner)) != 0)
-        return where + "owner " + std::to_string(ls.owner) +
-               " coexists with foreign sharers (mask " + hex(ls.sharers) + ")";
-    }
-    if (ls.pending) {
-      if (ls.pending_owner < 0 ||
-          static_cast<std::uint32_t>(ls.pending_owner) >= total)
-        return where + "pending store with invalid writer " +
-               std::to_string(ls.pending_owner);
-      if (ls.busy_until < ls.pending_at)
-        return where + "pending store lands at " +
-               std::to_string(ls.pending_at) + " after busy_until " +
-               std::to_string(ls.busy_until);
-      if ((ls.pending_keep_sharers & ~ls.sharers) != 0)
-        return where + "pending keep-sharers " + hex(ls.pending_keep_sharers) +
-               " not a subset of sharers " + hex(ls.sharers);
+  // Pages never written hold only untouched lines; walking the resident
+  // ones in directory order keeps the first violation the lowest address.
+  for (std::size_t p = 0; p < mem.pages_.size(); ++p) {
+    if (mem.pages_[p] == nullptr) continue;
+    const Addr base = p * MemorySystem::kPageBytes;
+    for (std::size_t l = 0; l < MemorySystem::kLinesPerPage; ++l) {
+      std::string v = check_line(mem.pages_[p]->lines[l],
+                                 base + l * kCacheLineBytes, total, core_mask);
+      if (!v.empty()) return v;
     }
   }
   return {};

@@ -177,8 +177,7 @@ double run_pair(const PlatformSpec& spec, const Program& prog,
                 std::uint32_t iters, CoreId c0, CoreId c1,
                 trace::Tracer* tracer) {
   sim::Machine m(spec, 64u << 20);
-  m.load_program(c0, prog);
-  m.load_program(c1, prog);
+  m.load_program(c1, m.load_program(c0, prog));  // one decode, two cores
   sim::RunConfig cfg;
   cfg.max_cycles = 2'000'000'000ULL;
   cfg.tracer = tracer;

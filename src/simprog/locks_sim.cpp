@@ -579,7 +579,8 @@ LockResult run_ticket(const sim::PlatformSpec& spec, const LockWorkload& w,
                       OrderChoice release_barrier) {
   ARMBAR_CHECK(w.threads >= 1 && w.threads <= spec.total_cores());
   Machine m(spec, 8u << 20);
-  Program p = make_ticket_program(w, release_barrier);
+  const ProgramHandle p =
+      decode_program(make_ticket_program(w, release_barrier));
   for (CoreId c = 0; c < w.threads; ++c) {
     m.load_program(c, p);
     m.core(c).set_reg(X3, kPrivBase + c * 64);
@@ -594,7 +595,7 @@ LockResult run_ffwd(const sim::PlatformSpec& spec, const LockWorkload& w,
   Machine m(spec, 8u << 20);
   fill_pool(m);
   Program server = make_ffwd_server(w, choice);
-  Program client = make_ffwd_client(w, choice);
+  const ProgramHandle client = decode_program(make_ffwd_client(w, choice));
   m.load_program(0, server);  // core 0 is the dedicated server
   for (CoreId i = 0; i < w.threads; ++i) {
     const CoreId c = i + 1;
@@ -611,7 +612,7 @@ LockResult run_cna(const sim::PlatformSpec& spec, const LockWorkload& w,
                    const CnaChoice& choice) {
   ARMBAR_CHECK(w.threads >= 1 && w.threads <= spec.total_cores());
   Machine m(spec, 8u << 20);
-  Program p = make_cna_program(w, choice);
+  const ProgramHandle p = decode_program(make_cna_program(w, choice));
   for (CoreId c = 0; c < w.threads; ++c) {
     m.load_program(c, p);
     m.core(c).set_reg(X1, kCnaNodes + c * 128);
@@ -632,7 +633,7 @@ LockResult run_ccsynch(const sim::PlatformSpec& spec, const LockWorkload& w,
   if (choice.pilot) {
     m.mem().poke(dummy + 80, 1);  // token armed
   }                                // plain: wait word already 0
-  Program p = make_ccsynch_program(w, choice);
+  const ProgramHandle p = decode_program(make_ccsynch_program(w, choice));
   for (CoreId c = 0; c < w.threads; ++c) {
     m.load_program(c, p);
     m.core(c).set_reg(X1, kNodes + (c + 1) * 192);  // node 0 is the dummy

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fuzz/gen.hpp"
 #include "litmus/shapes.hpp"
 #include "sim/isa.hpp"
 #include "sim/program.hpp"
@@ -82,6 +83,7 @@ TEST(Driver, PlantedIllegalRewriteIsCaughtAndRestored) {
   EXPECT_TRUE(r.verified_equal);  // back on the per-candidate-proven program
   expect_arithmetic(r);
   EXPECT_EQ(r.barriers_after, r.barriers_before);  // the plant was undone
+  EXPECT_FALSE(r.planted_harmless);
 
   const RewriteRecord* planted = nullptr;
   for (const RewriteRecord& rec : r.rewrites)
@@ -92,6 +94,38 @@ TEST(Driver, PlantedIllegalRewriteIsCaughtAndRestored) {
   EXPECT_NE(planted->detail.find("caught by final verification"),
             std::string::npos)
       << planted->detail;
+  // The plant deletes a barrier the oracle refused to weaken.
+  bool refused_there = false;
+  for (const RewriteRecord& rec : r.rewrites)
+    refused_there = refused_there ||
+                    (!rec.planted && rec.cand.thread == planted->cand.thread &&
+                     rec.cand.pc == planted->cand.pc &&
+                     rec.verdict == RewriteRecord::Verdict::kRestored);
+  EXPECT_TRUE(refused_there) << describe_decisions(r);
+}
+
+TEST(Driver, PlantOnALegalDeleteIsHarmlessNotAMiss) {
+  // Fuzz seed 1's only barrier is an isb the search never proposes to
+  // weaken, so nothing was refused and the plant falls back to it. Its
+  // delete leaves the allowed set unchanged: the final verification finds
+  // the program outcome-equal and the plant is reported harmless, neither
+  // caught nor missed.
+  OptOptions opts;
+  opts.plant = OptOptions::Plant::kDeleteBypassingOracle;
+  const OptResult r = optimize(fuzz::generate(1, {}), opts);
+  ASSERT_TRUE(r.model_valid) << r.model_error;
+  ASSERT_TRUE(r.planted_injected);
+  EXPECT_EQ(r.restored, 0u);
+  EXPECT_FALSE(r.planted_caught);
+  EXPECT_TRUE(r.planted_harmless);
+  EXPECT_TRUE(r.verified_equal);
+  expect_arithmetic(r);
+
+  const trace::Json report = opt_report_json({r});
+  const trace::Json& entry = report.find("programs")->items().at(0);
+  ASSERT_NE(entry.find("planted_harmless"), nullptr);
+  EXPECT_TRUE(entry.find("planted_harmless")->boolean());
+  EXPECT_FALSE(entry.find("planted_caught")->boolean());
 }
 
 TEST(Driver, PlantSlipsThroughWithoutFinalVerify) {
@@ -105,6 +139,7 @@ TEST(Driver, PlantSlipsThroughWithoutFinalVerify) {
   ASSERT_TRUE(r.model_valid) << r.model_error;
   ASSERT_TRUE(r.planted_injected);
   EXPECT_FALSE(r.planted_caught);
+  EXPECT_FALSE(r.planted_harmless);  // nothing verified it either way
   EXPECT_FALSE(r.verified_equal);
   EXPECT_EQ(r.barriers_after, r.barriers_before - 1);
 }

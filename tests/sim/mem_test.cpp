@@ -1,8 +1,11 @@
 // MemorySystem unit tests: MESI transitions, NUMA latency classes,
-// line-transfer serialization, invalidation hooks.
+// line-transfer serialization, invalidation hooks, and the paged store
+// (pages resident only once written, bounds unchanged).
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include "sim/mem.hpp"
+#include "simprog/abstract_model.hpp"
 
 namespace armbar::sim {
 namespace {
@@ -203,6 +206,62 @@ TEST_F(MemTest, UnalignedAccessAborts) {
 TEST_F(MemTest, OutOfRangeAborts) {
   std::uint64_t v = 0;
   EXPECT_DEATH(mem_.load(0, 1u << 21 << 3, 0, v), "out of simulated memory");
+}
+
+TEST_F(MemTest, UntouchedMemoryReadsZeroWithoutBecomingResident) {
+  EXPECT_EQ(mem_.resident_pages(), 0u);
+  EXPECT_EQ(mem_.peek(0x3000), 0u);
+  EXPECT_EQ(mem_.line_state(0x3000).owner, kNoOwner);
+  EXPECT_EQ(mem_.line_state(0x3000).sharers, 0u);
+  EXPECT_FALSE(mem_.line_state(0x3000).pending);
+  EXPECT_FALSE(mem_.load_hits(0, 0x3000));
+  EXPECT_FALSE(mem_.owns(0, 0x3000));
+  EXPECT_FALSE(mem_.any_remote_holder(0, 0x3000));
+  EXPECT_EQ(mem_.resident_pages(), 0u) << "a const read allocated a page";
+
+  mem_.poke(0x3008, 5);
+  EXPECT_EQ(mem_.resident_pages(), 1u);
+  EXPECT_EQ(mem_.peek(0x3000), 0u);  // its neighbours are still zero
+  EXPECT_EQ(mem_.peek(0x3008), 5u);
+  std::uint64_t v = 0;
+  mem_.load(0, 0x3ff8, 0, v);  // same 4 KiB page
+  EXPECT_EQ(mem_.resident_pages(), 1u);
+  mem_.load(0, 0x4000, 0, v);  // the next one
+  EXPECT_EQ(mem_.resident_pages(), 2u);
+}
+
+TEST_F(MemTest, LastWordWorksAndTheSizeItselfAborts) {
+  const Addr size = mem_.size_bytes();
+  ASSERT_EQ(size, 1u << 20);
+  const Addr last = size - kWordBytes;
+  EXPECT_EQ(mem_.peek(last), 0u);
+  mem_.poke(last, 77);
+  EXPECT_EQ(mem_.peek(last), 77u);
+  std::uint64_t v = 0;
+  bool remote = false;
+  const Cycle done = mem_.store(1, last, 78, 0, remote);
+  mem_.load(1, last, done, v);
+  EXPECT_EQ(v, 78u);
+  EXPECT_DEATH((void)mem_.peek(size), "out of simulated memory");
+  EXPECT_DEATH(mem_.poke(size, 1), "out of simulated memory");
+  EXPECT_DEATH((void)mem_.line_state(size), "out of simulated memory");
+  EXPECT_DEATH(mem_.load(0, size, 0, v), "out of simulated memory");
+}
+
+// Regression for eager allocation: a 64 MiB machine used to fault in and
+// zero its whole word array and line table (~33 000 minor faults per run),
+// whatever the run touched. Fig 2's program touches no memory at all.
+TEST(PagedMemory, IntrinsicRunsFaultInOnlyWhatTheyTouch) {
+  const PlatformSpec spec = kunpeng916();
+  const Program prog =
+      simprog::make_intrinsic_model(simprog::OrderChoice::kDmbFull, 10, 200);
+  rusage before{};
+  ASSERT_EQ(getrusage(RUSAGE_THREAD, &before), 0);
+  for (int i = 0; i < 10; ++i)
+    EXPECT_GT(simprog::run_single(spec, prog, 200), 0.0);  // 64 MiB machine
+  rusage after{};
+  ASSERT_EQ(getrusage(RUSAGE_THREAD, &after), 0);
+  EXPECT_LT(after.ru_minflt - before.ru_minflt, 20000);
 }
 
 }  // namespace

@@ -84,6 +84,29 @@ TEST(Verifier, DetectsMalformedPendingStore) {
   EXPECT_NE(MachineVerifier(m).check(), "");
 }
 
+TEST(Verifier, FindsAPlantInTheLastPageOfA64MiBMachine) {
+  Machine m(kunpeng916(), 64u << 20);
+  const Addr last_line = m.mem().size_bytes() - kCacheLineBytes;
+  LineState ls;
+  ls.owner = 3;
+  ls.sharers = 1ULL << 7;
+  m.mem().debug_set_line_state(last_line, ls);
+  const std::string violation = MachineVerifier(m).check();
+  EXPECT_NE(violation.find("line 0x3ffffc0: owner 3 coexists"), std::string::npos)
+      << violation;
+}
+
+TEST(Verifier, ReportsTheLowestAddressedViolationFirst) {
+  Machine m(rpi4(), 1u << 20);
+  LineState bad;
+  bad.sharers = 1ULL << 9;  // no core 9 exists
+  // Planted high page first: the report must still name the low line.
+  m.mem().debug_set_line_state(0x9000, bad);
+  m.mem().debug_set_line_state(0x2040, bad);
+  EXPECT_EQ(MachineVerifier(m).check().rfind("line 0x2040:", 0), 0u)
+      << MachineVerifier(m).check();
+}
+
 TEST(Verifier, CorruptionDuringRunThrowsInvariantViolation) {
   Machine m(rpi4(), 1u << 20);
   Program p = counting_loop(100);

@@ -10,16 +10,20 @@
 //   armbar-opt --json report.json      # armbar.bench.report/v2 document
 //                                      # with the armbar.opt.report/v1
 //                                      # section (validate: report_check)
-//   armbar-opt --plant-unsound         # self-test: force an illegal delete
-//                                      # bypassing the oracle; the final
-//                                      # verification must catch it
+//   armbar-opt --plant-unsound         # self-test: delete a barrier the
+//                                      # oracle refused to weaken, bypassing
+//                                      # it; the final verification must
+//                                      # catch it
 //
 // Exit status: 0 every program optimized (or left alone) with a verified-
 // equal outcome set, 1 any program failed verification — including the
 // --plant-unsound run, where exit 1 *is* the expected verdict (the planted
-// rewrite was caught and restored; ci.sh asserts exactly this). Exit 3
-// means --plant-unsound was NOT caught: the oracle is not load-bearing.
-// Exit 2: usage error.
+// rewrite was caught and restored; ci.sh asserts exactly this). A plant
+// the final verification finds outcome-equal (a legal delete, e.g. of the
+// only barrier when the search refused nothing) is reported as harmless
+// and is not a miss. Exit 3 means a plant was NOT caught — the oracle is
+// not load-bearing — or that no program received an unsound plant, so the
+// self-test proved nothing. Exit 2: usage error.
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -148,7 +152,7 @@ int main(int argc, char** argv) {
 
   std::vector<opt::OptResult> results;
   int failed = 0;
-  bool planted_caught = true, planted_any = false;
+  bool planted_missed = false, planted_caught_any = false;
   for (const model::ConcurrentProgram& p : corpus) {
     opt::OptResult r = opt::optimize(p, opts);
     if (!quiet) std::fputs(opt::describe_decisions(r).c_str(), stdout);
@@ -162,12 +166,18 @@ int main(int argc, char** argv) {
                 r.attempted,
                 static_cast<unsigned long long>(r.oracle_calls));
     if (r.model_valid && !r.verified_equal) ++failed;
-    if (plant) {
-      planted_any = planted_any || r.planted_injected;
-      if (r.planted_injected && !r.planted_caught) planted_caught = false;
-      if (r.planted_injected && r.planted_caught)
+    if (plant && r.planted_injected) {
+      if (r.planted_caught) {
+        planted_caught_any = true;
         std::printf("%s: planted illegal delete CAUGHT and restored\n",
                     p.name.c_str());
+      } else if (r.planted_harmless) {
+        std::printf("%s: planted delete harmless (outcome-equal to the "
+                    "baseline), not a miss\n",
+                    p.name.c_str());
+      } else {
+        planted_missed = true;
+      }
     }
     results.push_back(std::move(r));
   }
@@ -197,13 +207,13 @@ int main(int argc, char** argv) {
   }
 
   if (plant) {
-    if (!planted_caught || !planted_any) {
+    if (planted_missed || !planted_caught_any) {
       std::fprintf(stderr,
-                   !planted_any
-                       ? "armbar-opt: no barrier survived to plant on — the "
-                         "self-test proved nothing\n"
-                       : "armbar-opt: PLANTED REWRITE NOT CAUGHT — the "
-                         "oracle is not load-bearing\n");
+                   planted_missed
+                       ? "armbar-opt: PLANTED REWRITE NOT CAUGHT — the "
+                         "oracle is not load-bearing\n"
+                       : "armbar-opt: no program received an unsound plant "
+                         "— the self-test proved nothing\n");
       return 3;
     }
     // Caught-and-restored is the expected verdict; exit nonzero so CI can
