@@ -28,9 +28,12 @@
 #include <array>
 #include <chrono>
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "common/check.hpp"
 #include "common/table.hpp"
 #include "experiment_util.hpp"
 #include "prof/prof.hpp"
@@ -48,7 +51,7 @@ constexpr Addr kSharedAddr = 0x3000;
 
 /// Gate floor for ips_vs_null (simulated instr/s over null-loop ops/s).
 /// Calibrated for the ISSUE 7 fast-path interpreter: ~2.3e-2 aggregate
-/// measured (best-of reps), ~3x headroom for host noise. Deliberately set
+/// measured (median of paired reps), ~3x headroom for host noise. Deliberately set
 /// above the whole pre-fast-path build's ~3.7e-3, so losing the predecoded
 /// dispatch or the event-driven scheduler fails the experiment itself, not
 /// just the cross-report trend gate.
@@ -126,17 +129,38 @@ Measured time_run(sim::Machine& m) {
   return r;
 }
 
+/// The instructions the null loop reads, half a page away from the
+/// register file it writes (which null_loop_pass aligns to a page), so no
+/// load's address matches an earlier store's in bits 0-11. Where that
+/// distance is left to the heap and the stack, address-space randomization
+/// decides it, and a matching pair stalls the loop on a false dependency:
+/// one binary measured 476 or 579 Mops/s from run to run.
+struct alignas(4096) NullCode {
+  unsigned char below[2048];
+  std::array<sim::Instr, 64> code{};
+  std::size_t size = 0;
+
+  explicit NullCode(const std::vector<sim::Instr>& src) : size(src.size()) {
+    ARMBAR_CHECK(src.size() <= code.size());
+    std::copy(src.begin(), src.end(), code.begin());
+  }
+};
+
 /// Null-interpreter baseline: a switch-dispatch sweep over a real Instr
 /// vector with none of the machine model behind it. This is the "empty
 /// interpreter" cost on this host — the denominator that makes the CI gate
 /// machine-independent. Deliberately per-op trivial (register file writes
 /// only) so it tracks dispatch + memory-touch cost, not workload content.
-std::uint64_t null_loop_pass(const std::vector<sim::Instr>& code,
-                             std::uint64_t passes) {
-  std::uint64_t regs[32] = {};
+/// Out of line and cache-line aligned, so its code sits the same way
+/// whatever the rest of this file compiles to.
+[[gnu::noinline, gnu::aligned(64)]] std::uint64_t null_loop_pass(
+    const NullCode& nc, std::uint64_t passes) {
+  alignas(4096) std::uint64_t regs[32] = {};
   std::uint64_t sink = 0;
+  const sim::Instr* const end = nc.code.data() + nc.size;
   for (std::uint64_t p = 0; p < passes; ++p) {
-    for (const sim::Instr& ins : code) {
+    for (const sim::Instr* it = nc.code.data(); it != end; ++it) {
+      const sim::Instr& ins = *it;
       switch (ins.op) {
         case sim::Op::kMovImm:
           regs[ins.rd] = static_cast<std::uint64_t>(ins.imm);
@@ -177,105 +201,125 @@ ARMBAR_EXPERIMENT(sim_perf, "Perf",
   ctx.param("profiling",
             prof::compiled_in() ? "enabled" : "compiled out (ARMBAR_PROF_DISABLED)");
 
-  // ---- null-interpreter baseline (best of 5 passes) ----
-  // Best-of, not mean: on a contended CI host the minimum is the real
-  // dispatch cost, and every simulator measurement below uses the same
-  // best-of policy so numerator and denominator share the bias.
-  const sim::Program null_prog = mp_producer(kMpRounds);
+  // ---- interleaved reps: every simulator run paired with a null pass ----
+  // Each run is timed right after its own null-interpreter pass and scored
+  // as the ratio of the two, so host drift within the experiment (clock
+  // changes, a noisy neighbour) hits numerator and denominator alike; each
+  // score is then the median over reps, which a burst of host noise
+  // shorter than half the experiment cannot move.
+  const auto null_code =
+      std::make_unique<NullCode>(mp_producer(kMpRounds).code);
   constexpr std::uint64_t kNullPasses = 20'000;
-  double null_ops_per_sec = 0.0;
   std::uint64_t null_sink = 0;
-  for (int rep = 0; rep < 5; ++rep) {
+  const auto null_ops_per_sec = [&] {
     const auto t0 = std::chrono::steady_clock::now();
     {
       ARMBAR_PROF_SCOPE(kBenchNullLoop);
-      null_sink += null_loop_pass(null_prog.code, kNullPasses);
+      null_sink += null_loop_pass(*null_code, kNullPasses);
     }
-    const std::uint64_t ns = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - t0)
-            .count());
-    const double ops = static_cast<double>(kNullPasses) *
-                       static_cast<double>(null_prog.code.size());
-    if (ns > 0 && ops * 1e9 / static_cast<double>(ns) > null_ops_per_sec)
-      null_ops_per_sec = ops * 1e9 / static_cast<double>(ns);
-  }
-  ctx.param("null_loop_sink", std::to_string(null_sink));  // defeats DCE
-  ctx.metric("null_loop_mops", null_ops_per_sec / 1e6);
-  ctx.check(null_ops_per_sec > 0, "null interpreter baseline measured");
+    const auto ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                        std::chrono::steady_clock::now() - t0)
+                        .count();
+    return ns <= 0 ? 0.0
+                   : static_cast<double>(kNullPasses) *
+                         static_cast<double>(null_code->size) * 1e9 /
+                         static_cast<double>(ns);
+  };
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v.empty() ? 0.0 : v[v.size() / 2];
+  };
 
-  // ---- simulator workloads across the Table 2 presets ----
-  TextTable t("Host-side simulator throughput (report-only; absolute "
-              "numbers are machine-dependent)");
-  t.header({"platform", "cores", "workload", "sim instrs", "host ms",
-            "M instr/s"});
+  // One series per (preset, workload): MP on the two most distant cores
+  // (cross-node on kunpeng916), and co-heavy on every core with the
+  // iteration count scaled so total contention work stays comparable
+  // across 4..64 cores (one predecoded handle shared by all cores). A
+  // co-heavy run takes well under a millisecond, so one sample times a
+  // batch of fresh machines (the simulated result is identical every time)
+  // to keep it about as long as its null pass.
+  struct Series {
+    sim::PlatformSpec spec;
+    std::string workload;
+    int batch;
+    std::function<void(sim::Machine&)> load;
+    std::vector<double> ips, vs_null;
+    std::uint64_t instructions = 0;
+    bool completed = true;
+  };
+  const sim::ProgramHandle prod = sim::decode_program(mp_producer(kMpRounds));
+  const sim::ProgramHandle cons = sim::decode_program(mp_consumer(kMpRounds));
+  std::vector<Series> series;
+  for (const sim::PlatformSpec& spec : sim::all_platforms()) {
+    const std::uint32_t n = spec.total_cores();
+    series.push_back({spec, "mp", 1, [n, prod, cons](sim::Machine& m) {
+                        m.load_program(0, prod);
+                        m.load_program(n - 1, cons);
+                      }, {}, {}, 0, true});
+    const sim::ProgramHandle heavy = sim::decode_program(co_heavy(768 / n));
+    series.push_back({spec, "deep", 8, [n, heavy](sim::Machine& m) {
+                        for (std::uint32_t c = 0; c < n; ++c)
+                          m.load_program(c, heavy);
+                      }, {}, {}, 0, true});
+  }
+
+  constexpr int kReps = 21;
+  std::vector<double> nulls, rep_vs_null;
   std::uint64_t total_instrs = 0;
   std::uint64_t total_ns = 0;
-  for (const sim::PlatformSpec& spec : sim::all_platforms()) {
-    // MP on the two most distant cores: cross-node on kunpeng916.
-    // Best-of-5: long enough to average cache effects, but a CI-host
-    // preemption mid-run still distorts a single shot.
-    const sim::Program prod = mp_producer(kMpRounds);
-    const sim::Program cons = mp_consumer(kMpRounds);
-    Measured mp;
-    for (int rep = 0; rep < 5; ++rep) {
-      sim::Machine m(spec, 8u << 20);
-      m.load_program(0, prod);
-      m.load_program(spec.total_cores() - 1, cons);
-      const Measured r = time_run(m);
-      if (rep == 0 || r.host_ns < mp.host_ns) mp = r;
+  for (int rep = 0; rep < kReps; ++rep) {
+    double rep_sec = 0.0, rep_null_sec = 0.0;
+    for (Series& s : series) {
+      const double null_ops = null_ops_per_sec();
+      Measured r;
+      for (int b = 0; b < s.batch; ++b) {
+        sim::Machine m(s.spec, 8u << 20);
+        s.load(m);
+        const Measured one = time_run(m);
+        s.completed = s.completed && one.completed;
+        r.instructions += one.instructions;
+        r.host_ns += one.host_ns;
+      }
+      nulls.push_back(null_ops);
+      s.ips.push_back(r.ips());
+      s.vs_null.push_back(null_ops > 0 ? r.ips() / null_ops : 0.0);
+      s.instructions = r.instructions / static_cast<std::uint64_t>(s.batch);
+      rep_sec += static_cast<double>(r.host_ns) * 1e-9;
+      if (null_ops > 0) rep_null_sec += static_cast<double>(r.instructions) / null_ops;
+      total_instrs += r.instructions;
+      total_ns += r.host_ns;
     }
-    ctx.check(mp.completed, "MP workload completed on " + spec.name);
-    ctx.metric(spec.name + "_mp_ips", mp.ips());
-    t.row({spec.name, TextTable::num(spec.total_cores(), 0), "MP",
-           TextTable::num(static_cast<double>(mp.instructions), 0),
-           TextTable::num(static_cast<double>(mp.host_ns) / 1e6, 1),
-           TextTable::num(mp.ips() / 1e6, 2)});
+    // The rep's aggregate: simulated instrs/s over the null loop's ops/s,
+    // each summed over the same instruction counts.
+    if (rep_sec > 0) rep_vs_null.push_back(rep_null_sec / rep_sec);
+  }
+  const double null_mops = median(nulls) / 1e6;
+  ctx.param("null_loop_sink", std::to_string(null_sink));  // defeats DCE
+  ctx.metric("null_loop_mops", null_mops);
+  ctx.check(null_mops > 0, "null interpreter baseline measured");
 
-    // Co-heavy: every core, one line; iteration count scaled so total
-    // contention work stays comparable across 4..64 cores. Predecode once
-    // and share the handle across all cores (the intended pattern for
-    // homogeneous workloads).
-    const std::uint32_t iters = 768 / spec.total_cores();
-    const sim::ProgramHandle heavy = sim::decode_program(co_heavy(iters));
-    // The co-heavy run finishes in well under a millisecond, so a single
-    // timing is mostly scheduler jitter and cold caches: repeat it on fresh
-    // machines (the simulated result is identical every time) and keep the
-    // fastest rep — best-of-N, like the null loop above, so numerator and
-    // denominator carry the same preemption bias. It gets more draws than
-    // the null loop because its working set (64 cores of machine state on
-    // kunpeng916) refills cold after every preemption, so a clean CFS slice
-    // is rarer for it than for the cache-resident null sweep; each extra
-    // draw costs well under a millisecond.
-    constexpr int kDeepReps = 11;
-    std::array<Measured, kDeepReps> reps;
-    for (Measured& rep : reps) {
-      sim::Machine m(spec, 8u << 20);
-      for (std::uint32_t c = 0; c < spec.total_cores(); ++c)
-        m.load_program(c, heavy);
-      rep = time_run(m);
-    }
-    const Measured deep = *std::min_element(
-        reps.begin(), reps.end(), [](const Measured& a, const Measured& b) {
-          return a.host_ns < b.host_ns;
-        });
-    ctx.check(deep.completed, "co-heavy workload completed on " + spec.name);
-    ctx.metric(spec.name + "_deep_ips", deep.ips());
-    t.row({spec.name, TextTable::num(spec.total_cores(), 0), "co-heavy",
-           TextTable::num(static_cast<double>(deep.instructions), 0),
-           TextTable::num(static_cast<double>(deep.host_ns) / 1e6, 1),
-           TextTable::num(deep.ips() / 1e6, 2)});
-
-    total_instrs += mp.instructions + deep.instructions;
-    total_ns += mp.host_ns + deep.host_ns;
+  TextTable t("Host-side simulator throughput, median of " +
+              std::to_string(kReps) +
+              " reps (report-only; absolute numbers are machine-dependent)");
+  t.header({"platform", "cores", "workload", "sim instrs", "M instr/s",
+            "vs null"});
+  for (const Series& s : series) {
+    const std::string name = s.spec.name + "_" + s.workload + "_ips";
+    const char* label = s.workload == "mp" ? "MP" : "co-heavy";
+    ctx.check(s.completed,
+              std::string(label) + " workload completed on " + s.spec.name);
+    ctx.metric(name, median(s.ips));
+    ctx.metric(name + "_vs_null", median(s.vs_null));
+    t.row({s.spec.name, TextTable::num(s.spec.total_cores(), 0), label,
+           TextTable::num(static_cast<double>(s.instructions), 0),
+           TextTable::num(median(s.ips) / 1e6, 2),
+           TextTable::num(median(s.vs_null), 5)});
   }
 
   const double sim_ips = total_ns == 0
                              ? 0.0
                              : static_cast<double>(total_instrs) * 1e9 /
                                    static_cast<double>(total_ns);
-  const double ips_vs_null =
-      null_ops_per_sec == 0 ? 0.0 : sim_ips / null_ops_per_sec;
+  const double ips_vs_null = median(rep_vs_null);
   ctx.metric("sim_ips", sim_ips);
   ctx.metric("ips_vs_null", ips_vs_null);
   ctx.check(sim_ips > 0, "aggregate simulator throughput measured");

@@ -17,10 +17,16 @@
 #     baseline, so host speed cancels) must hold; armbar-perf then diffs
 #     the fresh report against the committed baseline, and a second
 #     armbar-perf pass gates every per-preset throughput at >= 3x the
-#     frozen PR-6 (pre-fast-path) report;
+#     frozen PR-6 (pre-fast-path) report (sim_perf scores each preset as
+#     the median over reps of its run's ips over a null-loop pass timed
+#     right before it);
 #   * a bit-identity gate: all 18 figure/table experiments' points digests
 #     must match the pinned baseline exactly, and that sweep's peak RSS
 #     must stay under 256 MB (simulated memory is paged on first touch);
+#   * a nop-run structural gate: a profiled fig3 run's per-OpClass retire
+#     counters must sum to sim.instructions, and it must take at most 0.25
+#     Core::step calls per instruction (nop runs retire in closed form; a
+#     deterministic count, so it holds on any host);
 #   * a --profile smoke: the profiled report validates and carries
 #     host_prof, and every points digest is bit-identical to the
 #     unprofiled run (profiling never perturbs results);
@@ -184,6 +190,23 @@ assert not missing, f"experiments missing from the sweep: {missing}"
 bad = sorted(k for k in base if got[k] != base[k])
 assert not bad, f"points digests diverged from the pinned baseline: {bad}"
 print(f"bit-identity OK ({len(base)} digests match the pinned baseline)")
+EOF
+
+echo "== nop-run structural gate (fig3 retire counters, steps per instruction) =="
+"$BENCH" --filter fig3_store_store --no-cache --profile \
+    --json="$SMOKE_DIR/fig3-profile.report.json" > /dev/null
+python3 - "$SMOKE_DIR/fig3-profile.report.json" <<'EOF'
+import json, sys
+c = json.load(open(sys.argv[1]))["host_prof"]["counters"]
+instrs = c["sim.instructions"]
+retired = sum(v for k, v in c.items() if k.startswith("sim.retired."))
+assert retired == instrs, \
+    f"per-OpClass retire counters sum to {retired}, sim.instructions {instrs}"
+steps = c["sim.steps"] / instrs
+assert steps <= 0.25, \
+    f"fig3 takes {steps:.3f} steps per instruction (gate <= 0.25)"
+print(f"nop-run gate OK ({steps:.3f} steps/instr, "
+      f"{c['sim.retired.nop'] / instrs:.1%} of instructions are nops)")
 EOF
 
 echo "== --profile smoke (host_prof attached, digests unperturbed) =="

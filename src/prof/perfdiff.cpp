@@ -137,7 +137,9 @@ PerfDiff diff_reports(const trace::Json& base, const trace::Json& cur,
   // divided by its own report's null-loop ops/s, so the cross-report ratio
   // is machine-independent like ips_vs_null but resolved per platform
   // preset and per workload (a regression confined to the 64-core preset
-  // cannot hide inside the blended aggregate).
+  // cannot hide inside the blended aggregate). A report that carries
+  // "<metric>_vs_null" (the median of per-rep ratios, each run paired with
+  // its own null pass) is read from that instead.
   bool presets_ok = true;
   if (opts.min_preset_ratio > 0.0) {
     const double base_null = find_metric_suffix(base, "null_loop_mops");
@@ -151,8 +153,13 @@ PerfDiff diff_reports(const trace::Json& base, const trace::Json& cur,
     for (const std::string& name : ips_metric_names(base)) {
       PresetRatio pr;
       pr.metric = name;
-      pr.base_rel = find_metric_suffix(base, name) / (base_null * 1e6);
-      pr.cur_rel = find_metric_suffix(cur, name) / (cur_null * 1e6);
+      const auto rel = [&name](const trace::Json& doc, double null_mops) {
+        const double paired = find_metric_suffix(doc, name + "_vs_null");
+        return paired > 0.0 ? paired
+                            : find_metric_suffix(doc, name) / (null_mops * 1e6);
+      };
+      pr.base_rel = rel(base, base_null);
+      pr.cur_rel = rel(cur, cur_null);
       if (pr.base_rel <= 0.0 || pr.cur_rel <= 0.0) {
         pr.ratio = 0.0;
         pr.ok = false;

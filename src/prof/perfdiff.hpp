@@ -38,7 +38,8 @@ struct PerfDiffOptions {
   /// When > 0, every per-preset "<preset>_{mp,deep}_ips" metric present in
   /// the baseline is normalized by its report's null-loop throughput and
   /// the current/baseline ratio must reach this value (machine-independent,
-  /// like ips_vs_null but per preset). 0 disables.
+  /// like ips_vs_null but per preset); a "<metric>_vs_null" metric, when
+  /// the report has one, is that normalized value already. 0 disables.
   double min_preset_ratio = 0.0;
 };
 

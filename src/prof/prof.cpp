@@ -28,6 +28,21 @@ const char* counter_name(Counter c) {
     case Counter::kSimInstructions: return "sim.instructions";
     case Counter::kSimRuns: return "sim.runs";
     case Counter::kSimCycles: return "sim.cycles";
+    case Counter::kSimSteps: return "sim.steps";
+    case Counter::kSimRetiredNop: return "sim.retired.nop";
+    case Counter::kSimRetiredHalt: return "sim.retired.halt";
+    case Counter::kSimRetiredWfe: return "sim.retired.wfe";
+    case Counter::kSimRetiredAlu: return "sim.retired.alu";
+    case Counter::kSimRetiredJump: return "sim.retired.jump";
+    case Counter::kSimRetiredCondBranch: return "sim.retired.cond_branch";
+    case Counter::kSimRetiredLoad: return "sim.retired.load";
+    case Counter::kSimRetiredStore: return "sim.retired.store";
+    case Counter::kSimRetiredSwp: return "sim.retired.swp";
+    case Counter::kSimRetiredStxr: return "sim.retired.stxr";
+    case Counter::kSimRetiredIsb: return "sim.retired.isb";
+    case Counter::kSimRetiredDmbLd: return "sim.retired.dmb_ld";
+    case Counter::kSimRetiredBlockingBarrier: return "sim.retired.blocking_barrier";
+    case Counter::kSimRetiredDmbSt: return "sim.retired.dmb_st";
     case Counter::kModelExecutions: return "model.executions";
     case Counter::kCacheHits: return "cache.hits";
     case Counter::kCacheMisses: return "cache.misses";

@@ -61,13 +61,30 @@ enum class Counter : std::uint8_t {
   kSimInstructions,  ///< guest instructions retired across all runs
   kSimRuns,          ///< Machine::run completions
   kSimCycles,        ///< simulated cycles across all runs
+  kSimSteps,         ///< Core::step calls across all runs
+  // Instructions retired per sim::OpClass, in OpClass order (sums to
+  // kSimInstructions; machine.cpp static_asserts the span).
+  kSimRetiredNop,
+  kSimRetiredHalt,
+  kSimRetiredWfe,
+  kSimRetiredAlu,
+  kSimRetiredJump,
+  kSimRetiredCondBranch,
+  kSimRetiredLoad,
+  kSimRetiredStore,
+  kSimRetiredSwp,
+  kSimRetiredStxr,
+  kSimRetiredIsb,
+  kSimRetiredDmbLd,
+  kSimRetiredBlockingBarrier,
+  kSimRetiredDmbSt,
   kModelExecutions,  ///< model-checker candidates examined
   kCacheHits,
   kCacheMisses,
   kCacheStores,
   kCacheEvictions,   ///< corrupt/stale entries dropped at lookup
 };
-inline constexpr std::size_t kNumCounters = 8;
+inline constexpr std::size_t kNumCounters = 23;
 const char* counter_name(Counter c);
 
 struct PhaseStats {

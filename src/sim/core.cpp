@@ -306,7 +306,7 @@ Cycle Core::do_load(const MicroOp& u, Cycle now, Addr addr) {
   return done;
 }
 
-void Core::issue(Cycle now) {
+Cycle Core::issue(Cycle now, Cycle cap) {
   ARMBAR_CHECK(uops_ != nullptr && pc_ < prog_size_);
   const std::uint32_t ins_pc = pc_;
   const MicroOp& u = uops_[pc_];
@@ -315,7 +315,7 @@ void Core::issue(Cycle now) {
   // (predecoded into kUopNonspec).
   if ((u.flags & kUopNonspec) != 0 && !branches_.empty()) {
     stall(now, branches_.front().resolve_at, StallCause::kSpec);
-    return;
+    return now + 1;
   }
   // Operand readiness: the gating registers were resolved at decode time,
   // so one max over two ready-cycles replaces the per-op switch.
@@ -323,13 +323,29 @@ void Core::issue(Cycle now) {
                                  reg_ready(static_cast<Reg>(u.src2)));
       need > now) {
     stall(now, need, StallCause::kOperand);
-    return;
+    return now + 1;
   }
 
   switch (u.cls) {
-    case OpClass::kNop:
-      ++pc_;
-      break;
+    case OpClass::kNop: {
+      // Nops read and write nothing but pc_, so the whole run retires in
+      // closed form, up to the horizon: the first cycle at which something
+      // outside the issue stage can change this core (an SB event, the
+      // front branch resolving) or the machine looks at it (`cap`). Per-nop
+      // steps in between would pump and resolve as exact no-ops (DESIGN
+      // §14), so every result is bit-identical. stall_until_ needs no term:
+      // issue only runs once it has passed.
+      Cycle horizon = cyc_min(cap, earliest_sb_event(now));
+      if (!branches_.empty())
+        horizon = cyc_min(horizon, branches_.front().resolve_at);
+      ARMBAR_CHECK(horizon > now);
+      const auto m = static_cast<std::uint32_t>(cyc_min(u.target, horizon - now));
+      pc_ += m;
+      stats_.instructions += m;
+      stats_.retired[static_cast<int>(OpClass::kNop)] += m;
+      ARMBAR_TRACE(tracer_, instr_issue_run(id_, ins_pc, code(u.op), now, m));
+      return now + m;
+    }
 
     case OpClass::kHalt:
       halted_ = true;
@@ -408,7 +424,7 @@ void Core::issue(Cycle now) {
       }
       if (branches_.size() >= lat_.max_spec_branches) {
         stall(now, branches_.front().resolve_at, StallCause::kSpec);
-        return;
+        return now + 1;
       }
       // Static prediction: backward taken, forward not-taken.
       const std::uint32_t predicted = u.target <= pc_ ? u.target : pc_ + 1;
@@ -431,11 +447,11 @@ void Core::issue(Cycle now) {
     case OpClass::kLoad: {
       if (mem_gate_ > now) {
         stall(now, mem_gate_, StallCause::kMemGate);
-        return;
+        return now + 1;
       }
       if (load_gate_ > now) {
         stall(now, load_gate_, StallCause::kMemGate);
-        return;
+        return now + 1;
       }
       if ((u.flags & kUopAcqSc) != 0) {
         // RCsc: [L]; po; [A] is barrier-ordered — an LDAR must not be
@@ -450,14 +466,14 @@ void Core::issue(Cycle now) {
           const Cycle ev = earliest_sb_event(now);
           stall(now, ev > now && ev != kNeverCycle ? ev : now + 1,
                 StallCause::kMemGate);
-          return;
+          return now + 1;
         }
       }
       std::erase_if(load_queue_, [now](Cycle c) { return c <= now; });
       if (load_queue_.size() >= lat_.lq_entries) {
         stall(now, *std::min_element(load_queue_.begin(), load_queue_.end()),
               StallCause::kLqFull);
-        return;
+        return now + 1;
       }
       const Addr addr = (u.flags & kUopIndexed) != 0
                             ? read(u.rn) + read(u.rm)
@@ -484,7 +500,7 @@ void Core::issue(Cycle now) {
     case OpClass::kStore: {
       if (mem_gate_ > now) {
         stall(now, mem_gate_, StallCause::kMemGate);
-        return;
+        return now + 1;
       }
       if (store_gate_armed_ && store_gate_watch_ < 0 && store_gate_ready_ <= now)
         store_gate_armed_ = false;  // gate already resolved and elapsed
@@ -492,17 +508,17 @@ void Core::issue(Cycle now) {
         if (store_gate_watch_ >= 0) {
           // Gate resolution time still unknown: drains outstanding.
           stall(now, now + 1, StallCause::kStoreGate);
-          return;
+          return now + 1;
         }
         if (store_gate_ready_ > now) {
           stall(now, store_gate_ready_, StallCause::kStoreGate);
-          return;
+          return now + 1;
         }
         store_gate_armed_ = false;
       }
       if (sb_.size() >= lat_.sb_entries) {
         stall(now, earliest_sb_event(now), StallCause::kSbFull);
-        return;
+        return now + 1;
       }
       SbEntry e;
       e.seq = sb_next_seq_++;
@@ -526,7 +542,7 @@ void Core::issue(Cycle now) {
     case OpClass::kSwp: {
       if (mem_gate_ > now) {
         stall(now, mem_gate_, StallCause::kMemGate);
-        return;
+        return now + 1;
       }
       const Addr addr = read(u.rn);
       std::uint64_t old = 0;
@@ -543,7 +559,7 @@ void Core::issue(Cycle now) {
     case OpClass::kStxr: {
       if (mem_gate_ > now) {
         stall(now, mem_gate_, StallCause::kMemGate);
-        return;
+        return now + 1;
       }
       const Addr addr = read(u.rn);
       if (!monitor_valid_ || monitor_line_ != line_of(addr)) {
@@ -611,7 +627,7 @@ void Core::issue(Cycle now) {
         // A previous DMB st gate is still pending; serialize on it.
         stall(now, store_gate_watch_ >= 0 ? now + 1 : store_gate_ready_,
               StallCause::kStoreGate);
-        return;
+        return now + 1;
       }
       store_gate_armed_ = true;
       ARMBAR_TRACE(tracer_, barrier_issue(id_, ins_pc, code(u.op), now));
@@ -632,9 +648,11 @@ void Core::issue(Cycle now) {
 
   ARMBAR_TRACE(tracer_, instr_issue(id_, ins_pc, code(u.op), now));
   ++stats_.instructions;
+  ++stats_.retired[static_cast<int>(u.cls)];
+  return now + 1;
 }
 
-void Core::step(Cycle now) {
+void Core::step(Cycle now, Cycle cap) {
   last_step_ = now;
   // Fast-path guard (ISSUE 7): pumping is a no-op unless drains or a DMB st
   // gate are outstanding. `store_gate_watch_ >= 0` implies the buffer held
@@ -708,7 +726,7 @@ void Core::step(Cycle now) {
   // hot path). Their time reports under sim.schedule; only coarse-grained
   // phases (run, schedule, verify) and the genuinely slow coherence miss
   // path keep dedicated scopes.
-  issue(now);
+  const Cycle next_issue = issue(now, cap);
 
   if (halted_) {
     finish(kNeverCycle);
@@ -717,7 +735,7 @@ void Core::step(Cycle now) {
   } else if (stall_until_ > now) {
     finish(stall_until_);
   } else {
-    finish(now + 1);
+    finish(next_issue);
   }
 }
 

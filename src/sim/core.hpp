@@ -88,6 +88,9 @@ struct CoreStats {
   std::uint64_t wfe_parks = 0;
   std::uint64_t stxr_failures = 0;
   std::uint64_t sb_retired = 0;  ///< store-buffer drains retired (watchdog)
+  /// Instructions retired per OpClass (sums to `instructions`). Host-side
+  /// profiling reads it; no experiment point is derived from it.
+  std::uint64_t retired[kNumOpClasses] = {};
   std::uint64_t stall_cycles[static_cast<int>(StallCause::kCount)] = {};
   Cycle halted_at = 0;
 
@@ -140,9 +143,12 @@ class Core {
   // calls per cycle lives here, and nothing else about a core's execution
   // is reachable from outside: the contract is exactly step / attention /
   // idle / invalidate.
-  /// Advance the core at cycle `now`. Issues at most one instruction and
-  /// pumps the store buffer. Updates next_attention().
-  void step(Cycle now);
+  /// Advance the core at cycle `now`. Pumps the store buffer and issues at
+  /// most one instruction — or, at a nop, the whole run of nops up to the
+  /// next cycle anything can change (see issue()). `cap` is the machine's
+  /// next observation point (cycle limit, verifier and watchdog cadence):
+  /// no nop is retired at or past it. Updates next_attention().
+  void step(Cycle now, Cycle cap);
   /// Earliest cycle at which this core needs to be stepped again
   /// (kNeverCycle exactly when idle()).
   Cycle next_attention() const { return next_attention_; }
@@ -207,7 +213,9 @@ class Core {
   void pump_store_buffer(Cycle now);
   void resolve_branches(Cycle now);
   bool check_blocking_barrier(Cycle now);
-  void issue(Cycle now);
+  /// Returns the next cycle the core may issue: now + 1, or the end of the
+  /// nop run it retired.
+  Cycle issue(Cycle now, Cycle cap);
   void stall(Cycle now, Cycle until, StallCause cause);
   std::uint64_t read(Reg r) const { return r == XZR ? 0 : regs_[r]; }
   void write(Reg r, std::uint64_t v, Cycle ready_at);

@@ -6,6 +6,7 @@
 // ISB). Semantics follow the ARM ARM as summarized in the paper's §2.2.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -124,6 +125,8 @@ enum class OpClass : std::uint8_t {
   kBlockingBarrier,  ///< DMB full + DSB family: watch prior stores, pay txn
   kDmbSt,            ///< arms the store gate, pipe keeps flowing
 };
+inline constexpr std::size_t kNumOpClasses =
+    static_cast<std::size_t>(OpClass::kDmbSt) + 1;
 
 /// Total Op -> OpClass map. No default case: adding an Op without
 /// classifying it is a compile error under -Werror=switch.

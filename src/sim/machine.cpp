@@ -20,13 +20,17 @@ Machine::Machine(PlatformSpec spec, std::size_t mem_bytes)
     Core& core = *cores_[victim];
     core.on_invalidate(line, at);
     // An invalidation can pull a parked core's wake earlier; mirror the new
-    // attention into the scheduler so the run loop's min() sees it.
+    // attention into the scheduler so the run loop sees it.
     // on_invalidate only ever *lowers* next_attention (and only for parked
     // cores), so when it did not move the slot is still exact and the
-    // scheduler write — a heap push per delivered invalidation on a 64-way
-    // contended line — can be skipped entirely.
+    // scheduler write can be skipped entirely. A lowered slot may belong to
+    // a core the run loop's sweep has already passed, so flag it: the
+    // minimum the sweep folded up is then stale.
     const Cycle na = core.next_attention();
-    if (na < sched_.at(victim) && active_[victim]) sched_.set(victim, na);
+    if (na < sched_.at(victim) && active_[victim]) {
+      sched_.set(victim, na);
+      woke_ = true;
+    }
   });
 }
 
@@ -130,16 +134,15 @@ RunResult Machine::run(const RunConfig& cfg) {
   Cycle progress_cycle = 0;
 
   Cycle now = 0;
+  std::uint64_t steps = 0;
   {
     // One kSimSchedule scope for the whole loop (the PR-6 build re-entered
     // it every iteration — ~25% of sim wall time was the scope's own clock
     // reads). Step-internal phases (kSimSbDrain/kSimIssue/kSimCoherence/
     // kSimVerify) nest inside it and subtract out as children.
     ARMBAR_PROF_SCOPE(kSimSchedule);
+    Cycle next = sched_.min();
     while (true) {
-      // Lazy-heap min over the per-core attention slots: O(log n) amortized
-      // instead of a full scan per iteration.
-      const Cycle next = sched_.min();
       if (next == kNeverCycle) {
         // idle() <=> next_attention()==kNeverCycle after a step, so an empty
         // queue means completion — but keep the deadlock diagnostic exact.
@@ -154,25 +157,44 @@ RunResult Machine::run(const RunConfig& cfg) {
         res.completed = false;
         break;
       }
-      // Step pass: id-order forward sweep re-reading the live slots — NOT
-      // heap pop order. A step can lower a *later* core's attention to <= now
-      // (coherence invalidation waking a WFE parker) and that core must still
-      // be stepped this cycle; and MemorySystem mutation order (hence
-      // simulated timing) must stay exactly the id-order of the PR-6 loop.
+      // Step pass: id-order forward sweep re-reading the live slots, which
+      // also folds up the next iteration's minimum. A step can lower a
+      // *later* core's attention to <= now (coherence invalidation waking a
+      // WFE parker) and that core must still be stepped this cycle; and
+      // MemorySystem mutation order (hence simulated timing) must stay
+      // exactly the id-order of the PR-6 loop.
       // The sweep reads the scheduler's dense slot array, not the cores:
       // slot == next_attention() by construction (kNeverCycle when idle),
       // so the common not-due case costs one L1 load per live core instead
       // of chasing each Core pointer for idle()/next_attention() — on the
       // 64-core preset that chase dominated short contended runs.
+      //
+      // `cap` is the next cycle at which the machine itself reads core
+      // state: the cycle limit, the verifier cadence and the watchdog
+      // sample. A nop run never retires past it, and a run starting on an
+      // observation cycle retires one nop, so every core's pc and counters
+      // read there exactly as under one step per nop.
+      const auto observe_cap = [now](Cycle at) {
+        return at > now ? at : now + 1;
+      };
+      Cycle cap = max_cycles == kNeverCycle ? kNeverCycle : max_cycles + 1;
+      if (next_verify != kNeverCycle) cap = std::min(cap, observe_cap(next_verify));
+      if (watchdog != 0 && progress_cycle <= kNeverCycle - watchdog)
+        cap = std::min(cap, observe_cap(progress_cycle + watchdog));
       const std::vector<Cycle>& due = sched_.slots();
+      next = kNeverCycle;
+      woke_ = false;
       for (std::size_t i = 0; i < live.size(); ++i) {
         const std::uint32_t c = live_ids[i];
         if (due[c] <= now) {
           Core* core = live[i];
-          core->step(now);
+          core->step(now, cap);
+          ++steps;
           sched_.set(c, core->next_attention());
         }
+        next = std::min(next, due[c]);
       }
+      if (woke_) next = sched_.min();
       if (now >= next_verify) {
         ARMBAR_PROF_SCOPE(kSimVerify);
         if (std::string v = verifier.check(); !v.empty())
@@ -213,10 +235,24 @@ RunResult Machine::run(const RunConfig& cfg) {
   res.mem = mem_->stats();
   if (prof::enabled()) {
     std::uint64_t instrs = 0;
-    for (const CoreStats& s : res.cores) instrs += s.instructions;
+    std::uint64_t retired[kNumOpClasses] = {};
+    for (const CoreStats& s : res.cores) {
+      instrs += s.instructions;
+      for (std::size_t k = 0; k < kNumOpClasses; ++k) retired[k] += s.retired[k];
+    }
     ARMBAR_PROF_COUNT(kSimInstructions, instrs);
     ARMBAR_PROF_COUNT(kSimCycles, res.cycles);
     ARMBAR_PROF_COUNT(kSimRuns, 1);
+    ARMBAR_PROF_COUNT(kSimSteps, steps);
+    // The retired.* counters follow OpClass order (prof sits below sim).
+    static_assert(static_cast<std::size_t>(prof::Counter::kSimRetiredDmbSt) -
+                      static_cast<std::size_t>(prof::Counter::kSimRetiredNop) +
+                      1 ==
+                  kNumOpClasses);
+    for (std::size_t k = 0; k < kNumOpClasses; ++k)
+      prof::count(static_cast<prof::Counter>(
+                      static_cast<std::size_t>(prof::Counter::kSimRetiredNop) + k),
+                  retired[k]);
   }
   return res;
 }

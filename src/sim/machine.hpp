@@ -135,7 +135,10 @@ class Machine {
   std::unique_ptr<MemorySystem> mem_;
   std::vector<std::unique_ptr<Core>> cores_;
   std::vector<bool> active_;
-  AttentionQueue sched_;  ///< per-core next-attention slots + lazy min-heap
+  AttentionQueue sched_;  ///< per-core next-attention slots
+  /// Set by the invalidation hook when it lowers a core's slot: the run
+  /// loop's folded minimum may then have missed it.
+  bool woke_ = false;
   std::unique_ptr<fault::FaultEngine> fault_engine_;
   trace::Tracer* tracer_ = nullptr;  ///< last attached (diagnostic ring tail)
   bool ran_ = false;

@@ -111,6 +111,13 @@ DecodedProgram::DecodedProgram(Program src) : src_(std::move(src)) {
   ARMBAR_CHECK_MSG(!src_.code.empty(), "cannot decode an empty program");
   uops_.reserve(src_.code.size());
   for (const Instr& ins : src_.code) uops_.push_back(decode_instr(ins));
+  // One backward pass: a nop's run length is one more than its successor's
+  // (0 when the successor is not a nop or the program ends).
+  std::uint32_t run = 0;
+  for (auto it = uops_.rbegin(); it != uops_.rend(); ++it) {
+    run = it->cls == OpClass::kNop ? run + 1 : 0;
+    if (it->cls == OpClass::kNop) it->target = run;
+  }
 }
 
 ProgramHandle decode_program(Program src) {

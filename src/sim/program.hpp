@@ -74,6 +74,10 @@ struct MicroOp {
   std::uint8_t src2 = XZR;     ///<   must have passed (XZR = no constraint)
   std::uint8_t flags = 0;
   std::int64_t imm = 0;
+  /// Branches: the resolved target pc. Nops (which have no target): the
+  /// number of consecutive nops from this pc to the end of the run,
+  /// counting this one — filled in by DecodedProgram, so a branch into the
+  /// middle of a run lands on a correct count with no special case.
   std::uint32_t target = 0;
 };
 
@@ -82,7 +86,8 @@ struct MicroOp {
 MicroOp decode_instr(const Instr& ins);
 
 /// An immutable predecoded program: owns the source Program (no pointer
-/// lifetime to manage) plus the micro-op array the core executes from.
+/// lifetime to manage) plus the micro-op array the core executes from,
+/// with every nop's remaining run length in its `target` field.
 class DecodedProgram {
  public:
   explicit DecodedProgram(Program src);

@@ -1,25 +1,19 @@
-// Attention scheduler for the machine run loop (ISSUE 7 fast path).
+// Attention slots for the machine run loop (ISSUE 7 fast path).
 //
 // The run loop needs two things per iteration: the earliest cycle any live
 // core wants attention (to jump simulated time forward), and the set of
 // cores due at that cycle (stepped in core-id order — see machine.cpp for
-// why that order is load-bearing). The PR-6 loop recomputed the minimum
-// with a full scan over all cores every iteration; with mostly-idle or
-// far-future cores that scan dominated kSimSchedule.
+// why that order is load-bearing).
 //
-// AttentionQueue keeps a dense per-core cycle array (the authoritative
-// slots — one cache line for typical core counts) plus a lazy min-heap of
-// (cycle, core) pairs. set() pushes unconditionally; min() pops stale
-// entries whose cycle no longer matches the slot. Each slot write pushes at
-// most one heap entry, so the heap holds at most one stale entry per set()
-// and is compacted when it grows past 4x the core count.
-//
-// The queue is deliberately NOT an event-dispatch mechanism: it only
-// answers "what is the earliest attention cycle". Stepping still walks
-// core ids in order and re-reads the live slots, because a step can change
-// other cores' attention (coherence invalidations waking WFE parkers) in
-// the same cycle, and the heap's pop order must not leak into simulated
-// timing.
+// AttentionQueue keeps a dense per-core cycle array, the authoritative
+// slots (one cache line for typical core counts). The run loop's step sweep
+// reads every live slot anyway, so it folds the minimum for the next
+// iteration into that same pass, and min() — a scan — runs only when a
+// slot the sweep has passed was lowered behind it (a coherence
+// invalidation waking a WFE parker). A priority queue beside the slots
+// would cost a push per step and a pop per stale entry to save a scan the
+// sweep already makes; with 64 cores due every cycle that cost as much as
+// the steps themselves.
 #pragma once
 
 #include <algorithm>
@@ -33,19 +27,10 @@ namespace armbar::sim {
 class AttentionQueue {
  public:
   explicit AttentionQueue(std::uint32_t num_cores)
-      : slots_(num_cores, kNeverCycle) {
-    heap_.reserve(num_cores * 2);
-  }
+      : slots_(num_cores, kNeverCycle) {}
 
   /// Authoritative next-attention cycle for `core` (kNeverCycle = idle).
-  void set(std::uint32_t core, Cycle at) {
-    slots_[core] = at;
-    if (at != kNeverCycle) {
-      heap_.push_back(Entry{at, core});
-      std::push_heap(heap_.begin(), heap_.end(), Later{});
-      if (heap_.size() > 4 * slots_.size() && heap_.size() > 16) compact();
-    }
-  }
+  void set(std::uint32_t core, Cycle at) { slots_[core] = at; }
 
   Cycle at(std::uint32_t core) const { return slots_[core]; }
 
@@ -57,36 +42,10 @@ class AttentionQueue {
   const std::vector<Cycle>& slots() const { return slots_; }
 
   /// Earliest attention cycle over all cores (kNeverCycle when none pending).
-  /// Amortized O(log n): pops entries invalidated by later set() calls.
-  Cycle min() {
-    while (!heap_.empty()) {
-      const Entry& top = heap_.front();
-      if (slots_[top.core] == top.at) return top.at;
-      std::pop_heap(heap_.begin(), heap_.end(), Later{});
-      heap_.pop_back();
-    }
-    return kNeverCycle;
-  }
+  Cycle min() const { return *std::min_element(slots_.begin(), slots_.end()); }
 
  private:
-  struct Entry {
-    Cycle at;
-    std::uint32_t core;
-  };
-  // std::push_heap builds a max-heap; "later is less" turns it into min.
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const { return a.at > b.at; }
-  };
-
-  void compact() {
-    heap_.clear();
-    for (std::uint32_t c = 0; c < slots_.size(); ++c)
-      if (slots_[c] != kNeverCycle) heap_.push_back(Entry{slots_[c], c});
-    std::make_heap(heap_.begin(), heap_.end(), Later{});
-  }
-
   std::vector<Cycle> slots_;
-  std::vector<Entry> heap_;
 };
 
 }  // namespace armbar::sim

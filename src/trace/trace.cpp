@@ -91,6 +91,22 @@ void Tracer::instr_issue(CoreId c, std::uint32_t pc, std::uint8_t op, Cycle at) 
   if (metrics_) metrics_->inc(metric::kInstrs, c);
 }
 
+void Tracer::instr_issue_run(CoreId c, std::uint32_t pc0, std::uint8_t op,
+                             Cycle at0, std::uint64_t m) {
+  if (!enabled_ || m == 0) return;
+  ARMBAR_PROF_SCOPE(kTraceEmit);
+  const std::uint64_t skip = m > ring_.size() ? m - ring_.size() : 0;
+  head_ = static_cast<std::size_t>((head_ + skip) % ring_.size());
+  for (std::uint64_t i = skip; i < m; ++i) {
+    ring_[head_] = {at0 + i, at0 + i, 0, 0,
+                    static_cast<std::uint32_t>(pc0 + i), c,
+                    EventKind::kInstrIssue, op};
+    head_ = (head_ + 1) % ring_.size();
+  }
+  emitted_ += m;
+  if (metrics_) metrics_->inc(metric::kInstrs, c, m);
+}
+
 void Tracer::set_stall_cause_names(std::vector<std::string> names) {
   stall_cause_names_ = std::move(names);
 }

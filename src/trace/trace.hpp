@@ -152,6 +152,13 @@ class Tracer {
 
   // ---- typed hooks (what the simulator calls) ----
   void instr_issue(CoreId c, std::uint32_t pc, std::uint8_t op, Cycle at);
+  /// `m` instructions of one op at pcs pc0.. issued at cycles at0.. (a nop
+  /// run retired in closed form). Counters, emitted() and dropped() end up
+  /// exactly as after `m` instr_issue() calls; only the last
+  /// min(m, capacity()) events are written, since the rest would be
+  /// overwritten within this call anyway.
+  void instr_issue_run(CoreId c, std::uint32_t pc0, std::uint8_t op, Cycle at0,
+                       std::uint64_t m);
   void stall(CoreId c, std::uint32_t pc, std::uint8_t cause, Cycle from, Cycle to);
   void squash(CoreId c, std::uint32_t pc, Cycle at);
   void sb_enqueue(CoreId c, std::uint64_t seq, Addr addr, Cycle at);

@@ -267,6 +267,23 @@ TEST(PerfDiff, PresetRatioGate) {
   d = diff_reports(base, one_bad, {});
   EXPECT_TRUE(d.ok);
 
+  // A paired "<metric>_vs_null" score wins over ips / null_loop_mops: the
+  // current report's raw ips and null say 0.5x, its paired median 1.0x.
+  trace::ReportBuilder prb("sim_perf", "paired");
+  prb.add_check("measured", true);
+  prb.add_metric("ips_vs_null", 0.004);
+  prb.add_metric("null_loop_mops", 600.0);
+  prb.add_metric("rpi4_mp_ips", 3e6);
+  prb.add_metric("rpi4_mp_ips_vs_null", 3e6 / 600e6);
+  prb.add_metric("kunpeng916_deep_ips", 4e6);
+  prb.add_metric("kunpeng916_deep_ips_vs_null", 8e6 / 600e6);
+  prb.set_host_prof(hp);
+  d = diff_reports(base, prb.build(), opts);
+  ASSERT_TRUE(d.comparable);
+  ASSERT_EQ(d.presets.size(), 2u) << "a *_vs_null metric is not a preset";
+  for (const PresetRatio& p : d.presets) EXPECT_NEAR(p.ratio, 1.0, 1e-9) << p.metric;
+  EXPECT_TRUE(d.ok);
+
   // A baseline without preset metrics fails closed when gating is on.
   trace::ReportBuilder rb("sim_perf", "no presets");
   rb.add_check("measured", true);

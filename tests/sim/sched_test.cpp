@@ -1,4 +1,4 @@
-// Unit tests for the lazy-min-heap attention scheduler (ISSUE 7).
+// Unit tests for the attention slots the run loop schedules from (ISSUE 7).
 #include <gtest/gtest.h>
 
 #include "sim/sched.hpp"
@@ -18,7 +18,7 @@ TEST(AttentionQueue, MinTracksSlotRewrites) {
   q.set(1, 50);
   q.set(2, 75);
   EXPECT_EQ(q.min(), 50u);
-  // Postponing the minimum invalidates its heap entry lazily.
+  // Postponing the minimum moves it to the next-earliest slot.
   q.set(1, 200);
   EXPECT_EQ(q.min(), 75u);
   // Pulling a core earlier (WFE wake via invalidation) shows up immediately.
@@ -39,8 +39,8 @@ TEST(AttentionQueue, IdleCoresLeaveTheQueue) {
 }
 
 TEST(AttentionQueue, SurvivesManyStaleEntries) {
-  // Repeated rewrites of the same slots force the compaction path and must
-  // never surface a stale minimum.
+  // Repeated rewrites of the same slots must never surface a stale
+  // minimum.
   AttentionQueue q(4);
   for (Cycle i = 1; i <= 10'000; ++i) {
     q.set(i % 4, i);

@@ -2,6 +2,9 @@
 // enable/disable, and the metrics feed.
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+
 #include "trace/trace.hpp"
 
 namespace armbar::trace {
@@ -129,6 +132,75 @@ TEST(Tracer, ZeroLengthStallIsNotRecorded) {
   Tracer t(4);
   t.stall(0, 0, 1, 5, 5);
   EXPECT_EQ(t.emitted(), 0u);
+}
+
+/// Every counter (total and per core) and histogram count in the registry.
+std::string dump(const MetricsRegistry& reg) {
+  std::ostringstream os;
+  for (const std::string& name : reg.counter_names()) {
+    os << name << "=" << reg.counter(name) << "[";
+    for (CoreId c = 0; c < 4; ++c) os << reg.counter(name, c) << ",";
+    os << "] ";
+  }
+  for (const std::string& name : reg.histogram_names())
+    os << name << "#" << reg.histogram(name).count() << " ";
+  return os.str();
+}
+
+// A run of m nops issued in one call must leave the tracer exactly as m
+// single instr_issue calls would: the same metrics, emitted(), dropped()
+// and ring contents, for m below, at and above the ring's capacity, and
+// with the ring's head at an arbitrary offset.
+TEST(Tracer, IssueRunMatchesSingleIssues) {
+  constexpr std::size_t kCap = 16;
+  for (const std::uint64_t m : {std::uint64_t{1}, std::uint64_t{5},
+                                std::uint64_t{kCap}, std::uint64_t{kCap + 3},
+                                std::uint64_t{3 * kCap + 7}}) {
+    for (const std::uint64_t prefix : {std::uint64_t{0}, std::uint64_t{11}}) {
+      MetricsRegistry reg_run, reg_one;
+      Tracer run(kCap), one(kCap);
+      run.set_metrics(&reg_run);
+      one.set_metrics(&reg_one);
+      for (std::uint64_t i = 0; i < prefix; ++i) {
+        run.instr_issue(1, 100, 7, i);
+        one.instr_issue(1, 100, 7, i);
+      }
+      run.instr_issue_run(2, 40, 0, 500, m);
+      for (std::uint64_t i = 0; i < m; ++i)
+        one.instr_issue(2, static_cast<std::uint32_t>(40 + i), 0, 500 + i);
+      run.sb_enqueue(2, 9, 0x80, 600);  // the next emit lands after the run
+      one.sb_enqueue(2, 9, 0x80, 600);
+
+      const std::string at = "m=" + std::to_string(m) +
+                             " prefix=" + std::to_string(prefix);
+      EXPECT_EQ(dump(reg_run), dump(reg_one)) << at;
+      EXPECT_EQ(run.emitted(), one.emitted()) << at;
+      EXPECT_EQ(run.dropped(), one.dropped()) << at;
+      const auto a = run.snapshot();
+      const auto b = one.snapshot();
+      ASSERT_EQ(a.size(), b.size()) << at;
+      for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].begin, b[i].begin) << at << " slot " << i;
+        EXPECT_EQ(a[i].end, b[i].end) << at << " slot " << i;
+        EXPECT_EQ(a[i].a, b[i].a) << at << " slot " << i;
+        EXPECT_EQ(a[i].b, b[i].b) << at << " slot " << i;
+        EXPECT_EQ(a[i].pc, b[i].pc) << at << " slot " << i;
+        EXPECT_EQ(a[i].core, b[i].core) << at << " slot " << i;
+        EXPECT_EQ(a[i].kind, b[i].kind) << at << " slot " << i;
+        EXPECT_EQ(a[i].detail, b[i].detail) << at << " slot " << i;
+      }
+    }
+  }
+}
+
+TEST(Tracer, IssueRunOnDisabledTracerEmitsNothing) {
+  MetricsRegistry reg;
+  Tracer t(8);
+  t.set_metrics(&reg);
+  t.set_enabled(false);
+  t.instr_issue_run(0, 0, 0, 1, 20);
+  EXPECT_EQ(t.emitted(), 0u);
+  EXPECT_TRUE(reg.empty());
 }
 
 }  // namespace
